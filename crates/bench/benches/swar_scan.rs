@@ -67,10 +67,6 @@ fn swar_scan(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("contains/swar", |b| {
-        b.iter(|| black_box(swar::contains(black_box(&stream), b"airquality_raw")));
-    });
-
     // End-to-end: the same compiled program through the byte-serial
     // reference driver vs the record-at-a-time block driver.
     let expr = query_to_exprs(&Query::qs0(), 1).unwrap();

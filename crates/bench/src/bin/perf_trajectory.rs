@@ -47,12 +47,13 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Schema identifier for `BENCH_*.json` consumers (v5 adds the
+/// Schema identifier for `BENCH_*.json` consumers. v5 added the
 /// top-level `telemetry_enabled` flag and, under `--telemetry`, a
 /// per-workload `telemetry` object: the `rfjson-telemetry` snapshot
 /// *delta* accumulated across that workload's cross-checks and timed
-/// passes — pipeline counters riding along with the throughput numbers).
-const SCHEMA: &str = "rfjson-perf-trajectory/v5";
+/// passes. v6 drops the per-workload `prefilter_hit_rate` and
+/// `prefilter_state` fields along with the literal prefilter.
+const SCHEMA: &str = "rfjson-perf-trajectory/v6";
 /// Default `--pr` value: the PR that last reran the trajectory.
 const DEFAULT_PR: u32 = 10;
 
@@ -66,8 +67,6 @@ struct WorkloadResult {
     model_mbps: f64,
     engine_mbps: f64,
     block_mbps: f64,
-    prefilter_hit_rate: f64,
-    prefilter_state: String,
     parallel_mbps: f64,
     shards: usize,
     /// Telemetry snapshot delta across this workload's passes
@@ -174,15 +173,6 @@ fn measure(
         std::process::exit(1);
     }
 
-    // Prefilter hit rate: fraction of records the literal prefilter
-    // proved NoMatch on the first (decision-checked) pass above.
-    let (checked, rejected) = engine.prefilter_stats();
-    let prefilter_hit_rate = if checked > 0 {
-        rejected as f64 / checked as f64
-    } else {
-        0.0
-    };
-
     let model_mbps = best_mbps(stream.len(), iters, || {
         black_box(model.filter_stream(black_box(&stream)));
     });
@@ -220,11 +210,6 @@ fn measure(
         model_mbps,
         engine_mbps,
         block_mbps,
-        prefilter_hit_rate,
-        // Captured after every timed pass: with enough records the
-        // prefilter has left probation and settled on live (it keeps
-        // rejecting) or disabled (the stream proved unselective).
-        prefilter_state: engine.prefilter_status().to_string(),
         parallel_mbps,
         shards,
         telemetry: telemetry_delta(tele_before),
@@ -366,16 +351,6 @@ fn to_json(
         let _ = writeln!(s, "      \"model_mbps\": {:.3},", r.model_mbps);
         let _ = writeln!(s, "      \"engine_mbps\": {:.3},", r.engine_mbps);
         let _ = writeln!(s, "      \"block_mbps\": {:.3},", r.block_mbps);
-        let _ = writeln!(
-            s,
-            "      \"prefilter_hit_rate\": {:.4},",
-            r.prefilter_hit_rate
-        );
-        let _ = writeln!(
-            s,
-            "      \"prefilter_state\": \"{}\",",
-            json_escape(&r.prefilter_state)
-        );
         let _ = writeln!(s, "      \"speedup\": {:.3},", r.engine_speedup());
         let _ = writeln!(s, "      \"parallel_mbps\": {:.3},", r.parallel_mbps);
         let _ = writeln!(s, "      \"parallel_shards\": {},", r.shards);
@@ -510,10 +485,8 @@ fn main() {
     let qt_b2 = query_to_exprs(&Query::qt(), 2).expect("query converts");
     // A query whose required literal never occurs in the corpus
     // (smartcity sensors report temperature/humidity/light/dust/
-    // airquality_raw — never wind_speed): the literal prefilter proves
-    // every record NoMatch and stays live, demonstrating the fast-reject
-    // path the RiotBench queries can never trigger (their attribute
-    // names appear in every record, so their prefilters self-disable).
+    // airquality_raw — never wind_speed): every record is a miss, the
+    // all-reject case the RiotBench queries never produce.
     let q_miss = Expr::context([
         Expr::substring(b"wind_speed", 1).expect("valid needle"),
         Expr::float_range("0.0", "99.0").expect("valid range"),
@@ -542,14 +515,13 @@ fn main() {
         if quick { " [quick]" } else { "" }
     );
     println!(
-        "{:<6} {:<10} {:>8} {:>12} {:>13} {:>12} {:>8} {:>9} {:>15} {:>10}",
+        "{:<6} {:<10} {:>8} {:>12} {:>13} {:>12} {:>9} {:>15} {:>10}",
         "query",
         "dataset",
         "records",
         "model MB/s",
         "engine MB/s",
         "block MB/s",
-        "prefilt",
         "speedup",
         "parallel MB/s",
         "par/eng"
@@ -558,18 +530,16 @@ fn main() {
     for (name, expr, dataset, w_iters) in &workloads {
         let r = measure(name, expr, dataset, *w_iters, shards, telemetry);
         println!(
-            "{:<6} {:<10} {:>8} {:>12.1} {:>13.1} {:>12.1} {:>7.1}% {:>8.2}x {:>15.1} {:>9.2}x  [prefilter {}]",
+            "{:<6} {:<10} {:>8} {:>12.1} {:>13.1} {:>12.1} {:>8.2}x {:>15.1} {:>9.2}x",
             r.name,
             r.dataset,
             r.records,
             r.model_mbps,
             r.engine_mbps,
             r.block_mbps,
-            r.prefilter_hit_rate * 100.0,
             r.engine_speedup(),
             r.parallel_mbps,
             r.parallel_speedup(),
-            r.prefilter_state
         );
         results.push(r);
     }

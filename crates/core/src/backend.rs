@@ -178,7 +178,7 @@ pub trait FilterBackend {
     /// [`rfjson_telemetry`] registry.
     ///
     /// Backends that keep per-stream counters (the SWAR engines tally
-    /// bytes-by-path and prefilter events in plain locals — no atomics
+    /// bytes-by-path in plain locals — no atomics
     /// on the byte path) override this; the stream drivers call it once
     /// per stream, after the last record. The default is a no-op, and
     /// under the `telemetry-off` feature even the overrides compile to

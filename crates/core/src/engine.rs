@@ -34,7 +34,7 @@
 
 use crate::evaluator::StreamTracker;
 use crate::expr::{Expr, StringTechnique, StructScope};
-use crate::prefilter::Prefilter;
+use crate::pair::{self, PackedUnits, PairBank, PairBankView};
 use crate::primitive::{DfaStringMatcher, FireFilter, SubstringMatcher, WindowMatcher};
 use rfjson_jsonstream::swar;
 use rfjson_redfa::range::is_number_byte;
@@ -483,48 +483,18 @@ pub(crate) struct WideSub {
     pub(crate) node: u32,
 }
 
-/// The record-level literal prefilter plus its adaptive bookkeeping:
-/// `live` drops to `false` once a probation window of records rejects
-/// nothing, so unselective streams stop paying the scan.
-#[derive(Debug, Clone)]
-struct PrefilterState {
-    filter: Prefilter,
-    live: bool,
-    checked: u64,
-    rejected: u64,
-}
-
-/// Adaptive status of the record-level literal prefilter, as reported by
-/// [`Engine::prefilter_status`]. A zero hit rate in the benchmark output
-/// is only meaningful together with this state: `Disabled` means the
-/// stream proved unselective during probation (every record contains the
-/// required literals, so the scan can never reject — the RiotBench range
-/// queries are all in this class) and the engine stopped paying for the
-/// scan, not that the prefilter is broken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefilterStatus {
-    /// The expression yields no usable necessary-condition literal set
-    /// (e.g. the root is a disjunction), so no prefilter was built.
-    Absent,
-    /// Active, still inside the probation window of
-    /// [`Engine::PREFILTER_PROBATION`] records.
-    Probation,
-    /// Active past probation: the scan rejected records and keeps
-    /// earning its keep.
-    Live,
-    /// Self-disabled: a full probation window rejected nothing, so the
-    /// scan is skipped from then on.
-    Disabled,
-}
-
-impl std::fmt::Display for PrefilterStatus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            PrefilterStatus::Absent => "absent",
-            PrefilterStatus::Probation => "probation",
-            PrefilterStatus::Live => "live",
-            PrefilterStatus::Disabled => "disabled",
-        })
+/// Loads up to one word of a block, zero-padding a partial last word.
+/// Zero bytes classify as nothing, so the padding sets no structural or
+/// quote bits, and the block loops step only the chunk's own bytes.
+#[inline]
+pub(crate) fn load_chunk(chunk: &[u8]) -> u64 {
+    match chunk.try_into() {
+        Ok(word) => swar::load_word(word),
+        Err(_) => {
+            let mut word = [0u8; swar::WORD_BYTES];
+            word[..chunk.len()].copy_from_slice(chunk);
+            swar::load_word(&word)
+        }
     }
 }
 
@@ -733,41 +703,32 @@ pub struct Engine {
     sub1_node: Vec<u32>,
 
     // ---- packed substring units (2 ≤ B ≤ 8) ----
-    subp_win_mask: Vec<u64>,
-    subp_blocks_off: Vec<u32>,
-    subp_blocks_len: Vec<u32>,
-    subp_blocks: Vec<u64>,
-    subp_target: Vec<u32>,
+    subp: PackedUnits,
     subp_node: Vec<u32>,
 
     wide_subs: Vec<WideSub>,
 
     // ---- block-scan fast path (immutable after compile) ----
     /// Whether [`Engine::on_block`] may take the SWAR word loop: one latch
-    /// word, no wide substring units, ≤ 8 single-byte substring units, and
-    /// run targets that fit the packed saturating counters.
+    /// word, no wide substring units, ≤ 8 single-byte substring units,
+    /// run targets that fit the packed saturating counters, and packed
+    /// substring units that fit a [`PairBank`].
     block_ready: bool,
     /// 256-entry packed hit table for the B = 1 substring units: entry
     /// `b` holds `0xFF` in lane `i` iff byte `b` is in unit `i`'s
     /// membership set. Empty unless `block_ready` with sub1 units.
     sub1_hits: Vec<u64>,
-    /// Per-lane run targets of the sub1 units, packed one byte per lane
-    /// (unused lanes hold 127, unreachable by the saturating counters).
-    sub1_targets_packed: u64,
-    /// 256-bit last-byte bitmap per packed substring unit — a cheap gate
-    /// in front of the linear block-list search.
-    subp_gate: Vec<u64>,
-    /// Record-level literal prefilter (necessary-condition checks),
-    /// with its live/checked/rejected bookkeeping.
-    prefilter: Option<PrefilterState>,
+    /// Packed run targets of the sub1 units (one bank; empty without
+    /// sub1 units).
+    sub1_targets_packed: Vec<u64>,
+    /// Pair bank of the packed substring units; `None` unless
+    /// `block_ready`.
+    pair: Option<PairBank>,
 
     // ---- mutable per-stream state ----
     /// Telemetry accumulated in plain locals on the hot path and flushed
     /// to the global registry once per stream (`flush_telemetry`).
     stats: EngineStats,
-    /// No bytes fed since the last reset: the next `on_block` call sees a
-    /// whole record from the start, which is what the prefilter requires.
-    fresh: bool,
     latch: Vec<u64>,
     prev: Vec<u64>,
     flag_level: Vec<u32>,
@@ -786,29 +747,19 @@ pub struct Engine {
 /// drivers call once per stream.
 #[derive(Debug, Clone, Copy, Default)]
 struct EngineStats {
-    /// Records entering `on_block` from a fresh reset.
+    /// Blocks handed to `on_block` (one per record under the block
+    /// stream driver).
     records: u64,
     /// Bytes scanned by the SWAR word loop (word-aligned portion).
     bytes_block: u64,
-    /// Bytes through the serial `on_byte` path (fallback programs,
-    /// sub-word tails, separators).
+    /// Bytes through the serial `on_byte` path (fallback programs and
+    /// separators).
     bytes_byte_serial: u64,
-    /// Bytes never scanned: the prefilter rejected the whole record.
-    bytes_prefilter_skipped: u64,
-    /// Records the live prefilter examined.
-    prefilter_checked: u64,
-    /// Records the prefilter proved `NoMatch` without scanning.
-    prefilter_rejected: u64,
-    /// Probation-end self-disable events (at most one per compile).
-    prefilter_disabled: u64,
 }
 
 impl EngineStats {
     fn is_empty(&self) -> bool {
-        self.records == 0
-            && self.bytes_block == 0
-            && self.bytes_byte_serial == 0
-            && self.bytes_prefilter_skipped == 0
+        self.records == 0 && self.bytes_block == 0 && self.bytes_byte_serial == 0
     }
 }
 
@@ -832,11 +783,7 @@ pub(crate) struct Builder {
     pub(crate) sub1_bitmap: Vec<u64>,
     pub(crate) sub1_target: Vec<u32>,
     pub(crate) sub1_node: Vec<u32>,
-    pub(crate) subp_win_mask: Vec<u64>,
-    pub(crate) subp_blocks_off: Vec<u32>,
-    pub(crate) subp_blocks_len: Vec<u32>,
-    pub(crate) subp_blocks: Vec<u64>,
-    pub(crate) subp_target: Vec<u32>,
+    pub(crate) subp: PackedUnits,
     pub(crate) subp_node: Vec<u32>,
     pub(crate) wide_subs: Vec<WideSub>,
 }
@@ -897,22 +844,12 @@ impl Builder {
                             self.sub1_target.push(m.target());
                             self.sub1_node.push(node);
                         } else if b <= 8 {
-                            let off = self.subp_blocks.len() as u32;
-                            for blk in m.blocks() {
-                                let mut packed = 0u64;
-                                for &x in blk {
-                                    packed = (packed << 8) | u64::from(x);
-                                }
-                                self.subp_blocks.push(packed);
-                            }
-                            self.subp_win_mask.push(if b == 8 {
-                                u64::MAX
-                            } else {
-                                (1u64 << (8 * b)) - 1
-                            });
-                            self.subp_blocks_off.push(off);
-                            self.subp_blocks_len.push(m.blocks().len() as u32);
-                            self.subp_target.push(m.target());
+                            let blocks: Vec<u64> = m
+                                .blocks()
+                                .iter()
+                                .map(|blk| blk.iter().fold(0u64, |p, &x| (p << 8) | u64::from(x)))
+                                .collect();
+                            self.subp.push(pair::win_mask(b), &blocks, m.target());
                             self.subp_node.push(node);
                         } else {
                             self.wide_subs.push(WideSub { matcher: m, node });
@@ -1001,47 +938,26 @@ impl Engine {
 
         // Block-scan eligibility and derived tables. The packed sub1
         // counters saturate at 127, so targets must stay below that for
-        // "counter ≥ target" to keep its exact serial meaning.
+        // "counter ≥ target" to keep its exact serial meaning; the packed
+        // substring units must fit a pair bank.
         let nsub1 = b.sub1_node.len();
-        let block_ready = words == 1
+        let pair_bank = if words == 1
             && b.wide_subs.is_empty()
-            && nsub1 <= 8
-            && b.sub1_target.iter().all(|&t| t <= 126);
-        let mut sub1_hits = Vec::new();
-        let mut sub1_targets_packed = 0u64;
-        let mut subp_gate = Vec::new();
-        if block_ready {
-            if nsub1 > 0 {
-                sub1_hits = vec![0u64; 256];
-                for (i, bitmap) in b.sub1_bitmap.chunks_exact(4).enumerate() {
-                    for (byte, hit) in sub1_hits.iter_mut().enumerate() {
-                        if bitmap[byte >> 6] & (1u64 << (byte & 63)) != 0 {
-                            *hit |= 0xffu64 << (8 * i);
-                        }
-                    }
-                }
-            }
-            for lane in 0..8usize {
-                let t = b.sub1_target.get(lane).copied().unwrap_or(127);
-                sub1_targets_packed |= u64::from(t) << (8 * lane);
-            }
-            subp_gate = vec![0u64; b.subp_node.len() * 4];
-            for i in 0..b.subp_node.len() {
-                let off = b.subp_blocks_off[i] as usize;
-                let len = b.subp_blocks_len[i] as usize;
-                for &blk in &b.subp_blocks[off..off + len] {
-                    let last = (blk & 0xff) as usize;
-                    subp_gate[i * 4 + (last >> 6)] |= 1u64 << (last & 63);
-                }
-            }
-        }
-        let prefilter = Prefilter::build(expr).map(|filter| PrefilterState {
-            filter,
-            live: true,
-            checked: 0,
-            rejected: 0,
-        });
+            && nsub1 <= pair::LANES
+            && b.sub1_target.iter().all(|&t| t <= pair::MAX_TARGET)
+        {
+            PairBank::build(&b.subp)
+        } else {
+            None
+        };
+        let block_ready = pair_bank.is_some();
+        let sub1_hits = if block_ready {
+            pair::sub1_hit_tables(&b.sub1_bitmap)
+        } else {
+            Vec::new()
+        };
 
+        let sub1_targets_packed = pair::pack_targets(&b.sub1_target);
         let engine = Engine {
             expr: expr.clone(),
             words,
@@ -1063,22 +979,16 @@ impl Engine {
             sub1_bitmap: b.sub1_bitmap,
             sub1_target: b.sub1_target,
             sub1_node: b.sub1_node,
-            subp_win: vec![0; b.subp_win_mask.len()],
-            subp_counter: vec![0; b.subp_win_mask.len()],
-            subp_win_mask: b.subp_win_mask,
-            subp_blocks_off: b.subp_blocks_off,
-            subp_blocks_len: b.subp_blocks_len,
-            subp_blocks: b.subp_blocks,
-            subp_target: b.subp_target,
+            subp_win: vec![0; b.subp.len()],
+            subp_counter: vec![0; b.subp.len()],
+            subp: b.subp,
             subp_node: b.subp_node,
             wide_subs: b.wide_subs,
             block_ready,
             sub1_hits,
             sub1_targets_packed,
-            subp_gate,
-            prefilter,
+            pair: pair_bank,
             stats: EngineStats::default(),
-            fresh: true,
             latch: vec![0; words],
             prev: vec![0; words],
             flag_level: vec![0; b.next_ctx as usize],
@@ -1135,6 +1045,12 @@ impl Engine {
         }
     }
 
+    /// Snapshots the pair bank of the packed substring units for static
+    /// verification; `None` unless [`Engine::block_scan_ready`].
+    pub fn pair_bank_view(&self) -> Option<PairBankView> {
+        self.pair.as_ref().map(PairBank::view)
+    }
+
     /// Number of nodes in the flat program (primitives + combinators).
     pub fn num_nodes(&self) -> usize {
         self.root as usize + 1
@@ -1162,7 +1078,6 @@ impl Engine {
     #[inline]
     pub fn on_byte(&mut self, byte: u8) -> bool {
         self.stats.bytes_byte_serial += 1;
-        self.fresh = false;
         let mut depth = 0u32;
         let mut is_close = false;
         let mut is_comma = false;
@@ -1225,18 +1140,15 @@ impl Engine {
             }
         }
         for i in 0..self.subp_win.len() {
-            let w = ((self.subp_win[i] << 8) | u64::from(byte)) & self.subp_win_mask[i];
+            let w = ((self.subp_win[i] << 8) | u64::from(byte)) & self.subp.win_mask[i];
             self.subp_win[i] = w;
-            let off = self.subp_blocks_off[i] as usize;
-            let len = self.subp_blocks_len[i] as usize;
-            let hit = self.subp_blocks[off..off + len].contains(&w);
-            let c = if hit {
+            let c = if self.subp.hit(i, w) {
                 self.subp_counter[i].saturating_add(1)
             } else {
                 0
             };
             self.subp_counter[i] = c;
-            if c >= self.subp_target[i] {
+            if c >= self.subp.target[i] {
                 Self::set_bit(&mut self.latch, self.subp_node[i]);
             }
         }
@@ -1287,6 +1199,13 @@ impl Engine {
         Self::bit(&self.latch, self.root)
     }
 
+    /// Test hook: the structural tracker, so a stream can start at an
+    /// extreme nesting depth.
+    #[cfg(test)]
+    pub(crate) fn tracker_mut(&mut self) -> &mut StreamTracker {
+        &mut self.tracker
+    }
+
     /// Record-boundary reset: latches, primitive state, structural state.
     pub fn reset(&mut self) {
         self.latch.fill(0);
@@ -1301,85 +1220,31 @@ impl Engine {
             ws.matcher.reset();
         }
         self.tracker.reset();
-        self.fresh = true;
     }
 
     /// Whether the compiled program qualifies for the SWAR block-scan
     /// loop (one latch word, no wide substring units, packable sub1 run
-    /// targets). Ineligible programs still work through [`Engine::on_block`]
-    /// via the byte-serial fallback.
+    /// targets, packed substring units that fit a pair bank). Ineligible
+    /// programs still work through [`Engine::on_block`] via the
+    /// byte-serial fallback.
     pub fn block_scan_ready(&self) -> bool {
         self.block_ready
     }
-
-    /// Records checked and rejected by the literal prefilter since
-    /// compile: `(checked, rejected)`.
-    pub fn prefilter_stats(&self) -> (u64, u64) {
-        self.prefilter
-            .as_ref()
-            .map_or((0, 0), |pf| (pf.checked, pf.rejected))
-    }
-
-    /// Current adaptive state of the literal prefilter — see
-    /// [`PrefilterStatus`] for what each state means for the reported
-    /// hit rate.
-    pub fn prefilter_status(&self) -> PrefilterStatus {
-        match &self.prefilter {
-            None => PrefilterStatus::Absent,
-            Some(pf) if !pf.live => PrefilterStatus::Disabled,
-            Some(pf) if pf.checked < Self::PREFILTER_PROBATION => PrefilterStatus::Probation,
-            Some(_) => PrefilterStatus::Live,
-        }
-    }
-
-    /// How many records the prefilter observes before deciding whether to
-    /// stay enabled.
-    pub const PREFILTER_PROBATION: u64 = 512;
 
     /// Advances a whole slice of record content at once; returns the
     /// latched record-accept signal after the last byte — exactly what a
     /// byte loop over [`Engine::on_byte`] would return (and `false` for an
     /// empty block, matching a loop that never ran).
     ///
-    /// Two accelerations apply on top of the byte loop:
-    ///
-    /// * When the block is a whole record from a fresh reset, the literal
-    ///   prefilter may prove `NoMatch` without scanning (state untouched —
-    ///   a rejected record provably cannot latch the root, and any
-    ///   trailing separator byte fed serially reproduces the same `false`
-    ///   decision from the untouched state).
-    /// * Eligible programs ([`Engine::block_scan_ready`]) run the SWAR
-    ///   word loop: per-word classification and string-mask resolution,
-    ///   packed sub1 counters, gated packed-substring and number-DFA
-    ///   stepping, and the node program only on bytes where a fire signal
-    ///   or an unmasked close/comma makes it observable.
+    /// Eligible programs ([`Engine::block_scan_ready`]) run the SWAR word
+    /// loop: per-word classification and string-mask resolution, packed
+    /// sub1 counters, the pair bank for the packed substring units, gated
+    /// number-DFA stepping, and the node program only on bytes where a
+    /// fire signal or an unmasked close/comma makes it observable.
     pub fn on_block(&mut self, block: &[u8]) -> bool {
-        let was_fresh = std::mem::replace(&mut self.fresh, false);
-        if was_fresh {
-            self.stats.records += 1;
-            if let Some(pf) = self.prefilter.as_mut().filter(|pf| pf.live) {
-                pf.checked += 1;
-                self.stats.prefilter_checked += 1;
-                let rejected = pf.filter.rejects(block);
-                if rejected {
-                    pf.rejected += 1;
-                    self.stats.prefilter_rejected += 1;
-                }
-                if pf.checked == Self::PREFILTER_PROBATION && pf.rejected == 0 {
-                    // The stream never benefits; stop paying the scan.
-                    pf.live = false;
-                    self.stats.prefilter_disabled += 1;
-                }
-                if rejected {
-                    self.stats.bytes_prefilter_skipped += block.len() as u64;
-                    return false;
-                }
-            }
-        }
+        self.stats.records += 1;
         if self.block_ready {
-            // The word loop consumes the aligned portion; the sub-word
-            // tail goes through `on_byte`, which counts itself.
-            self.stats.bytes_block += (block.len() & !(swar::WORD_BYTES - 1)) as u64;
+            self.stats.bytes_block += block.len() as u64;
             self.on_block_swar(block);
         } else {
             for &b in block {
@@ -1389,23 +1254,17 @@ impl Engine {
         Self::bit(&self.latch, self.root)
     }
 
-    /// The SWAR word loop behind [`Engine::on_block`]. Scalar per-unit
-    /// state is synced into packed registers on entry and back out before
-    /// the byte-serial tail runs, so interleaving `on_block` and `on_byte`
-    /// calls stays decision-identical to the pure byte loop.
+    /// The SWAR word loop behind [`Engine::on_block`]; a last partial
+    /// word is zero-padded ([`load_chunk`]). Scalar per-unit state is
+    /// synced into packed registers on entry and back out at the end, so
+    /// interleaving `on_block` and `on_byte` calls stays decision-identical
+    /// to the pure byte loop.
     fn on_block_swar(&mut self, block: &[u8]) {
-        const LANE_LO: u64 = 0x0101_0101_0101_0101;
-        const LANE_HI: u64 = 0x8080_8080_8080_8080;
         let (mut in_string, mut pending_escape, mut depth) = self.tracker.state();
         let mut l = self.latch[0];
         let nsub1 = self.sub1_node.len();
-        // Saturate the sub1 run counters into one byte per lane. Targets
-        // are ≤ 126 and counters only grow within a run, so clamping at
-        // 127 preserves every `counter ≥ target` comparison.
-        let mut c1 = 0u64;
-        for i in 0..nsub1 {
-            c1 |= u64::from(self.sub1_counter[i].min(127)) << (8 * i);
-        }
+        let mut c1 = pair::pack_counters(&self.sub1_counter);
+        let mut cp = pair::pack_counters(&self.subp_counter);
         // All number units share one token trajectory (`is_number_byte`
         // does not depend on the unit), so a single flag suffices.
         let mut in_token = self.num_in_token.first().is_some_and(|&t| t);
@@ -1417,22 +1276,26 @@ impl Engine {
         }
         let nsubp = self.subp_node.len();
         let has_ctx = self.has_ctx;
+        let bank = self
+            .pair
+            .as_ref()
+            .expect("block-ready programs have a pair bank");
 
-        let mut chunks = block.chunks_exact(swar::WORD_BYTES);
-        for chunk in chunks.by_ref() {
-            let word = swar::load_word(chunk.try_into().expect("8-byte chunk"));
+        for chunk in block.chunks(swar::WORD_BYTES) {
+            let word = load_chunk(chunk);
             // Context-free programs never read the structural facts; skip
             // the classifier exactly like the serial path skips the
             // tracker.
             let (wm, masked) = if has_ctx {
                 let wm = swar::classify_word(word);
-                let (masked, next) = swar::string_mask_word(
+                let (masked, next) = swar::string_mask_prefix(
                     wm.quotes,
                     wm.backslashes,
                     swar::StringState {
                         in_string,
                         pending_escape,
                     },
+                    chunk.len() as u32,
                 );
                 in_string = next.in_string;
                 pending_escape = next.pending_escape;
@@ -1446,14 +1309,8 @@ impl Engine {
                 let mut fires = 0u64;
                 if nsub1 != 0 {
                     let h = self.sub1_hits[byte as usize];
-                    // Hit lanes count up (saturating at 127), miss lanes
-                    // reset — the packed form of the serial run counter.
-                    let mut c = (c1 & h) + (LANE_LO & h);
-                    c -= (c & LANE_HI) >> 7;
-                    c1 = c;
-                    // Lane fires iff counter ≥ target; targets ≤ 127 keep
-                    // the per-lane subtraction borrow-free.
-                    let mut f = ((c | LANE_HI) - self.sub1_targets_packed) & LANE_HI;
+                    let (c, mut f) = pair::run_step(c1[0], h, self.sub1_targets_packed[0]);
+                    c1[0] = c;
                     while f != 0 {
                         let lane = f.trailing_zeros() as usize / 8;
                         f &= f - 1;
@@ -1462,26 +1319,9 @@ impl Engine {
                 }
                 if nsubp != 0 {
                     win64 = (win64 << 8) | u64::from(byte);
-                    for i in 0..nsubp {
-                        let gate = self.subp_gate[i * 4 + (byte >> 6) as usize]
-                            & (1u64 << (byte & 63))
-                            != 0;
-                        let hit = gate && {
-                            let w = win64 & self.subp_win_mask[i];
-                            let off = self.subp_blocks_off[i] as usize;
-                            let len = self.subp_blocks_len[i] as usize;
-                            self.subp_blocks[off..off + len].contains(&w)
-                        };
-                        let c = if hit {
-                            self.subp_counter[i].saturating_add(1)
-                        } else {
-                            0
-                        };
-                        self.subp_counter[i] = c;
-                        if c >= self.subp_target[i] {
-                            fires |= 1u64 << self.subp_node[i];
-                        }
-                    }
+                    bank.step(&self.subp, &mut cp, win64, |i| {
+                        fires |= 1u64 << self.subp_node[i];
+                    });
                 }
                 if is_number_byte(byte) {
                     for i in 0..self.num_state.len() {
@@ -1516,7 +1356,7 @@ impl Engine {
                 let mut is_comma = false;
                 if structural & bit != 0 {
                     if wm.opens & bit != 0 {
-                        depth += 1;
+                        depth = depth.saturating_add(1);
                     } else if wm.closes & bit != 0 {
                         is_close = true;
                     } else {
@@ -1548,20 +1388,15 @@ impl Engine {
             }
         }
 
-        // Sync packed state back out, then run the sub-word tail through
-        // the byte-serial path from the synced state.
+        // Sync packed state back out.
         self.latch[0] = l;
-        for i in 0..nsub1 {
-            self.sub1_counter[i] = ((c1 >> (8 * i)) & 0xff) as u32;
-        }
+        pair::unpack_counters(&c1, &mut self.sub1_counter);
+        pair::unpack_counters(&cp, &mut self.subp_counter);
         for i in 0..nsubp {
-            self.subp_win[i] = win64 & self.subp_win_mask[i];
+            self.subp_win[i] = win64 & self.subp.win_mask[i];
         }
         self.num_in_token.fill(in_token);
         self.tracker.restore(in_string, pending_escape, depth);
-        for &byte in chunks.remainder() {
-            self.on_byte(byte);
-        }
     }
 }
 
@@ -1601,10 +1436,6 @@ impl crate::backend::FilterBackend for Engine {
         m.records.add(s.records);
         m.bytes_block.add(s.bytes_block);
         m.bytes_byte_serial.add(s.bytes_byte_serial);
-        m.bytes_prefilter_skipped.add(s.bytes_prefilter_skipped);
-        m.prefilter_checked.add(s.prefilter_checked);
-        m.prefilter_rejected.add(s.prefilter_rejected);
-        m.prefilter_disabled.add(s.prefilter_disabled);
     }
 }
 
@@ -1781,36 +1612,39 @@ mod tests {
     }
 
     #[test]
-    fn prefilter_rejects_and_reports_stats() {
-        let mut e = Engine::compile(&ctx_temp());
-        assert!(!e.accepts_record(br#"{"nothing":"here"}"#));
-        assert!(e.accepts_record(br#"{"e":[{"v":"21.4","n":"temperature"}],"bt":1}"#));
-        let (checked, rejected) = e.prefilter_stats();
-        assert_eq!(checked, 0, "accepts_record is byte-serial, no prefilter");
-        assert_eq!(rejected, 0);
+    fn depth_saturates_at_u32_max_on_every_path() {
+        // Opening brackets at the deepest representable level must
+        // neither wrap nor panic, and the model, the serial engine, the
+        // SWAR engine and the fused engine must agree byte for byte.
+        let expr = ctx_temp();
+        let rec: &[u8] = br#"{"e":[{"v":"21.4","n":"temperature"}]}}}{"#;
+        let mut model = CompiledFilter::compile(&expr);
+        let mut serial = Engine::compile(&expr);
+        let mut block = Engine::compile(&expr);
+        let mut fused = crate::multi::MultiEngine::compile_batch(std::slice::from_ref(&expr));
+        assert!(block.block_scan_ready() && fused.block_scan_ready());
+        model.tracker_mut().restore(false, false, u32::MAX);
+        serial.tracker_mut().restore(false, false, u32::MAX);
+        block.tracker_mut().restore(false, false, u32::MAX);
+        fused.tracker_mut().restore(false, false, u32::MAX);
 
-        // The stream path feeds whole records through on_block.
-        let stream =
-            b"{\"nothing\":1}\n{\"e\":[{\"v\":\"21.4\",\"n\":\"temperature\"}],\"bt\":1}\n";
-        assert_eq!(e.filter_stream(stream), vec![false, true]);
-        let (checked, rejected) = e.prefilter_stats();
-        assert_eq!(checked, 2);
-        assert_eq!(rejected, 1, "the needle-free record is proven NoMatch");
-    }
+        let mut want = false;
+        for &b in rec {
+            want = model.on_byte(b);
+            assert_eq!(serial.on_byte(b), want);
+        }
+        assert_eq!(block.on_block(rec), want);
+        fused.on_block(rec);
+        let mut accepts = [0u64];
+        fused.write_accepts(&mut accepts);
+        assert_eq!(accepts[0] & 1 != 0, want);
 
-    #[test]
-    fn prefilter_disables_on_unselective_streams() {
-        let mut e = Engine::compile(&Expr::substring(b"a", 1).unwrap());
-        let hit = b"{\"a\":1}\n".repeat(Engine::PREFILTER_PROBATION as usize + 10);
-        let n = e.filter_stream(&hit).len();
-        assert_eq!(n, Engine::PREFILTER_PROBATION as usize + 10);
-        let (checked, rejected) = e.prefilter_stats();
-        assert_eq!(rejected, 0);
-        assert_eq!(
-            checked,
-            Engine::PREFILTER_PROBATION,
-            "prefilter stops paying for itself after probation"
-        );
+        // Three opens saturate, five closes step down, one open steps up.
+        let depth = u32::MAX - 4;
+        assert_eq!(model.tracker_mut().state().2, depth);
+        assert_eq!(serial.tracker_mut().state().2, depth);
+        assert_eq!(block.tracker_mut().state().2, depth);
+        assert_eq!(fused.tracker_mut().state().2, depth);
     }
 
     #[test]

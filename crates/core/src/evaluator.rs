@@ -57,7 +57,7 @@ impl StreamTracker {
             match BYTE_CLASS[byte as usize] {
                 ByteClass::Open => {
                     // Open-bracket bytes already count inside the new level.
-                    self.depth += 1;
+                    self.depth = self.depth.saturating_add(1);
                     depth = self.depth;
                 }
                 ByteClass::Close => {
@@ -377,6 +377,13 @@ impl CompiledFilter {
     pub fn reset(&mut self) {
         self.root.reset();
         self.tracker.reset();
+    }
+
+    /// Test hook: the structural tracker, so a stream can start at an
+    /// extreme nesting depth.
+    #[cfg(test)]
+    pub(crate) fn tracker_mut(&mut self) -> &mut StreamTracker {
+        &mut self.tracker
     }
 }
 

@@ -82,13 +82,13 @@ pub mod evaluator;
 pub mod expr;
 mod metrics;
 pub mod multi;
-mod prefilter;
+pub mod pair;
 pub mod primitive;
 pub mod query;
 
 pub use backend::{CompileError, FilterBackend, IngestLimits, SkipReason, Verdict};
 pub use cosim::CosimBackend;
-pub use engine::{Engine, PrefilterStatus, ProgramView};
+pub use engine::{Engine, ProgramView};
 pub use evaluator::CompiledFilter;
 pub use expr::{Expr, StructScope};
 pub use multi::{BatchVerdicts, MultiBackend, MultiEngine, MultiLanes, ShareStats, UnitCounts};

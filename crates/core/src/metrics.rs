@@ -13,22 +13,14 @@ use std::sync::OnceLock;
 
 /// `engine.*` counter handles (single-query [`Engine`](crate::Engine)).
 pub(crate) struct EngineMetrics {
-    /// `engine.records`: records entering `on_block` from a fresh reset.
+    /// `engine.records`: blocks handed to `on_block` (one per record
+    /// under the block stream driver).
     pub records: &'static Counter,
     /// `engine.bytes.block`: bytes scanned by the SWAR word loop.
     pub bytes_block: &'static Counter,
     /// `engine.bytes.byte_serial`: bytes through the serial `on_byte`
-    /// path (fallback programs, sub-word tails, separators).
+    /// path (fallback programs and record separators).
     pub bytes_byte_serial: &'static Counter,
-    /// `engine.bytes.prefilter_skipped`: bytes never scanned because the
-    /// literal prefilter rejected the whole record.
-    pub bytes_prefilter_skipped: &'static Counter,
-    /// `engine.prefilter.checked`: records the live prefilter examined.
-    pub prefilter_checked: &'static Counter,
-    /// `engine.prefilter.rejected`: records it proved `NoMatch`.
-    pub prefilter_rejected: &'static Counter,
-    /// `engine.prefilter.disabled`: probation-end self-disable events.
-    pub prefilter_disabled: &'static Counter,
 }
 
 pub(crate) fn engine_metrics() -> &'static EngineMetrics {
@@ -37,10 +29,6 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
         records: rfjson_telemetry::counter("engine.records"),
         bytes_block: rfjson_telemetry::counter("engine.bytes.block"),
         bytes_byte_serial: rfjson_telemetry::counter("engine.bytes.byte_serial"),
-        bytes_prefilter_skipped: rfjson_telemetry::counter("engine.bytes.prefilter_skipped"),
-        prefilter_checked: rfjson_telemetry::counter("engine.prefilter.checked"),
-        prefilter_rejected: rfjson_telemetry::counter("engine.prefilter.rejected"),
-        prefilter_disabled: rfjson_telemetry::counter("engine.prefilter.disabled"),
     })
 }
 
@@ -55,8 +43,9 @@ pub(crate) struct MultiMetrics {
     /// `multi.gate_skips.sub1`: words where the pooled single-byte
     /// substring bank was skipped by the 256-bit any-unit gate.
     pub gate_skips_sub1: &'static Counter,
-    /// `multi.gate_skips.subp`: bytes where the pooled packed-substring
-    /// scan was skipped by its any-unit gate.
+    /// `multi.gate_skips.subp`: bytes in no pair key of the pooled
+    /// packed-substring units, which reset every counter without a
+    /// pair-bank lookup.
     pub gate_skips_subp: &'static Counter,
 }
 

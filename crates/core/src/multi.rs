@@ -50,11 +50,12 @@
 
 use crate::backend::{CompileError, FilterBackend};
 use crate::engine::{
-    count_nodes, run_program_multi, run_program_word, Builder, ByteEvent, DfaUnitView, Op,
-    ProgramView,
+    count_nodes, load_chunk, run_program_multi, run_program_word, Builder, ByteEvent, DfaUnitView,
+    Op, ProgramView,
 };
 use crate::evaluator::StreamTracker;
 use crate::expr::Expr;
+use crate::pair::{self, PackedUnits, PairBank, PairBankView};
 use crate::primitive::{FireFilter, SubstringMatcher};
 use rfjson_jsonstream::frame::{
     is_blank_line, trim_cr, IngestLimits, LimitedAction, LimitedFramer, SkipReason, Verdict,
@@ -239,11 +240,7 @@ pub struct MultiEngine {
     sub1_bitmap: Vec<u64>,
     sub1_target: Vec<u32>,
     sub1_subs: Vec<Vec<Sub>>,
-    subp_win_mask: Vec<u64>,
-    subp_blocks_off: Vec<u32>,
-    subp_blocks_len: Vec<u32>,
-    subp_blocks: Vec<u64>,
-    subp_target: Vec<u32>,
+    subp: PackedUnits,
     subp_subs: Vec<Vec<Sub>>,
     wide_units: Vec<WideUnit>,
 
@@ -259,11 +256,9 @@ pub struct MultiEngine {
     /// it resets **all** run counters at once, skipping the bank loop —
     /// a cross-query gate no serial engine can have.
     sub1_any: [u64; 4],
-    /// 256-bit last-byte gate per packed substring unit.
-    subp_gate: Vec<u64>,
-    /// 256-bit union of all packed-substring last-byte gates (same
-    /// skip-the-pool trick as [`MultiEngine::sub1_any`]).
-    subp_any: [u64; 4],
+    /// Pair bank of the pooled packed substring units; `None` unless
+    /// `block_ready`.
+    pair: Option<PairBank>,
 
     // ---- mutable per-stream state ----
     /// Telemetry accumulated in plain locals on the hot path and flushed
@@ -291,12 +286,12 @@ pub struct MultiEngine {
 struct MultiStats {
     /// Bytes scanned by the fused SWAR word loop (aligned portion).
     bytes_block: u64,
-    /// Bytes through the fused serial path (fallback batches, tails,
+    /// Bytes through the fused serial path (fallback batches and
     /// separators).
     bytes_byte_serial: u64,
     /// Words where the pooled sub1 bank loop was gate-skipped.
     sub1_gate_skips: u64,
-    /// Bytes where the pooled packed-substring scan was gate-skipped.
+    /// Bytes in no pair key of the pooled packed-substring units.
     subp_gate_skips: u64,
 }
 
@@ -353,19 +348,14 @@ impl MultiEngine {
             sub1_bitmap: Vec::new(),
             sub1_target: Vec::new(),
             sub1_subs: Vec::new(),
-            subp_win_mask: Vec::new(),
-            subp_blocks_off: Vec::new(),
-            subp_blocks_len: Vec::new(),
-            subp_blocks: Vec::new(),
-            subp_target: Vec::new(),
+            subp: PackedUnits::default(),
             subp_subs: Vec::new(),
             wide_units: Vec::new(),
             block_ready: false,
             sub1_hits: Vec::new(),
             sub1_targets_packed: Vec::new(),
             sub1_any: [0; 4],
-            subp_gate: Vec::new(),
-            subp_any: [0; 4],
+            pair: None,
             stats: MultiStats::default(),
             sdfa_state: Vec::new(),
             num_state: Vec::new(),
@@ -503,23 +493,17 @@ impl MultiEngine {
             counts.sub1 += 1;
         }
         for (i, &node) in b.subp_node.iter().enumerate() {
-            let off = b.subp_blocks_off[i] as usize;
-            let len = b.subp_blocks_len[i] as usize;
-            let blocks = b.subp_blocks[off..off + len].to_vec();
+            let blocks = b.subp.blocks(i);
             let key = UnitKey::Subp {
-                mask: b.subp_win_mask[i],
-                blocks: blocks.clone(),
-                target: b.subp_target[i],
+                mask: b.subp.win_mask[i],
+                blocks: blocks.to_vec(),
+                target: b.subp.target[i],
             };
             let idx = match keys.get(&key) {
                 Some(&idx) => idx,
                 None => {
-                    let idx = self.subp_target.len() as u32;
-                    self.subp_win_mask.push(b.subp_win_mask[i]);
-                    self.subp_blocks_off.push(self.subp_blocks.len() as u32);
-                    self.subp_blocks_len.push(len as u32);
-                    self.subp_blocks.extend_from_slice(&blocks);
-                    self.subp_target.push(b.subp_target[i]);
+                    let idx = self.subp.len() as u32;
+                    self.subp.push(b.subp.win_mask[i], blocks, b.subp.target[i]);
                     self.subp_subs.push(Vec::new());
                     keys.insert(key, idx);
                     idx
@@ -563,14 +547,14 @@ impl MultiEngine {
         self.sdfa_state = self.sdfa_start.clone();
         self.num_state = self.num_start.clone();
         self.sub1_counter = vec![0; self.sub1_target.len()];
-        self.subp_win = vec![0; self.subp_win_mask.len()];
-        self.subp_counter = vec![0; self.subp_win_mask.len()];
+        self.subp_win = vec![0; self.subp.len()];
+        self.subp_counter = vec![0; self.subp.len()];
         self.lane_fires = vec![0; self.lanes.len()];
         self.share.pool = UnitCounts {
             string_dfas: self.sdfa_off.len(),
             number_dfas: self.num_off.len(),
             sub1: self.sub1_target.len(),
-            subp: self.subp_target.len(),
+            subp: self.subp.len(),
             wide: self.wide_units.len(),
         };
 
@@ -578,50 +562,26 @@ impl MultiEngine {
         // the sub1 counters generalized to banks of 8 packed lanes: up
         // to 64 pooled sub1 units keep the word-at-a-time path.
         let nsub1 = self.sub1_target.len();
-        self.block_ready = self.lanes.iter().all(|l| l.words == 1)
+        self.pair = if self.lanes.iter().all(|l| l.words == 1)
             && self.wide_units.is_empty()
-            && nsub1 <= 64
-            && self.sub1_target.iter().all(|&t| t <= 126);
+            && nsub1 <= pair::LANES * pair::MAX_BANKS
+            && self.sub1_target.iter().all(|&t| t <= pair::MAX_TARGET)
+        {
+            PairBank::build(&self.subp)
+        } else {
+            None
+        };
+        self.block_ready = self.pair.is_some();
         if !self.block_ready {
             return;
         }
-        let banks = nsub1.div_ceil(8);
-        self.sub1_hits = vec![0u64; banks * 256];
-        for (i, bitmap) in self.sub1_bitmap.chunks_exact(4).enumerate() {
-            let (bank, slot) = (i / 8, i % 8);
-            for byte in 0..256usize {
-                if bitmap[byte >> 6] & (1u64 << (byte & 63)) != 0 {
-                    self.sub1_hits[bank * 256 + byte] |= 0xffu64 << (8 * slot);
-                }
-            }
-        }
-        self.sub1_targets_packed = vec![0u64; banks];
-        for (bank, packed) in self.sub1_targets_packed.iter_mut().enumerate() {
-            for slot in 0..8usize {
-                let t = self
-                    .sub1_target
-                    .get(bank * 8 + slot)
-                    .copied()
-                    .unwrap_or(127);
-                *packed |= u64::from(t) << (8 * slot);
-            }
-        }
-        for (i, bitmap) in self.sub1_bitmap.chunks_exact(4).enumerate() {
-            let _ = i;
+        self.sub1_hits = pair::sub1_hit_tables(&self.sub1_bitmap);
+        for bitmap in self.sub1_bitmap.chunks_exact(4) {
             for (w, &b) in self.sub1_any.iter_mut().zip(bitmap) {
                 *w |= b;
             }
         }
-        self.subp_gate = vec![0u64; self.subp_target.len() * 4];
-        for i in 0..self.subp_target.len() {
-            let off = self.subp_blocks_off[i] as usize;
-            let len = self.subp_blocks_len[i] as usize;
-            for &blk in &self.subp_blocks[off..off + len] {
-                let last = (blk & 0xff) as usize;
-                self.subp_gate[i * 4 + (last >> 6)] |= 1u64 << (last & 63);
-                self.subp_any[last >> 6] |= 1u64 << (last & 63);
-            }
-        }
+        self.sub1_targets_packed = pair::pack_targets(&self.sub1_target);
     }
 
     /// The batch's source expressions, in lane order.
@@ -641,10 +601,18 @@ impl MultiEngine {
 
     /// Whether [`MultiEngine::on_block`] may take the SWAR word loop
     /// (every lane single-word, no wide units, ≤ 64 pooled sub1 units
-    /// with packable targets). Ineligible batches still work through the
-    /// byte-serial fallback.
+    /// with packable targets, pooled packed substring units that fit a
+    /// pair bank). Ineligible batches still work through the byte-serial
+    /// fallback.
     pub fn block_scan_ready(&self) -> bool {
         self.block_ready
+    }
+
+    /// Snapshots the pair bank of the pooled packed substring units, in
+    /// pool order, for static verification; `None` unless
+    /// [`MultiEngine::block_scan_ready`].
+    pub fn pair_bank_view(&self) -> Option<PairBankView> {
+        self.pair.as_ref().map(PairBank::view)
     }
 
     /// Per-lane program snapshots for static verification. Each view's
@@ -756,18 +724,15 @@ impl MultiEngine {
             }
         }
         for i in 0..self.subp_win.len() {
-            let w = ((self.subp_win[i] << 8) | u64::from(byte)) & self.subp_win_mask[i];
+            let w = ((self.subp_win[i] << 8) | u64::from(byte)) & self.subp.win_mask[i];
             self.subp_win[i] = w;
-            let off = self.subp_blocks_off[i] as usize;
-            let len = self.subp_blocks_len[i] as usize;
-            let hit = self.subp_blocks[off..off + len].contains(&w);
-            let c = if hit {
+            let c = if self.subp.hit(i, w) {
                 self.subp_counter[i].saturating_add(1)
             } else {
                 0
             };
             self.subp_counter[i] = c;
-            if c >= self.subp_target[i] {
+            if c >= self.subp.target[i] {
                 fire(&mut self.lanes, &self.subp_subs[i]);
             }
         }
@@ -787,9 +752,7 @@ impl MultiEngine {
     /// would do, with the SWAR word loop when the batch is eligible.
     pub fn on_block(&mut self, block: &[u8]) {
         if self.block_ready {
-            // The word loop consumes the aligned portion; the sub-word
-            // tail goes through `on_byte`, which counts itself.
-            self.stats.bytes_block += (block.len() & !(swar::WORD_BYTES - 1)) as u64;
+            self.stats.bytes_block += block.len() as u64;
             self.on_block_swar(block);
         } else {
             for &b in block {
@@ -800,50 +763,47 @@ impl MultiEngine {
 
     /// The SWAR word loop: one classification and string-mask resolution
     /// per 8-byte word shared by every lane, banked packed sub1
-    /// counters, gated packed-substring and number-DFA stepping, and
-    /// per-lane programs run only on bytes where that lane observes a
-    /// fire or (for context lanes) an unmasked close/comma.
+    /// counters, the pair bank for the packed substring units, gated
+    /// number-DFA stepping, and per-lane programs run only on bytes where
+    /// that lane observes a fire or (for context lanes) an unmasked
+    /// close/comma.
     fn on_block_swar(&mut self, block: &[u8]) {
-        const LANE_LO: u64 = 0x0101_0101_0101_0101;
-        const LANE_HI: u64 = 0x8080_8080_8080_8080;
         let (mut in_string, mut pending_escape, mut depth) = self.tracker.state();
         let nsub1 = self.sub1_target.len();
-        let banks = nsub1.div_ceil(8);
-        // Saturate the sub1 run counters into one byte per packed lane
-        // (targets ≤ 126 keep every `counter ≥ target` comparison exact).
-        let mut c1 = [0u64; 8];
-        for i in 0..nsub1 {
-            c1[i / 8] |= u64::from(self.sub1_counter[i].min(127)) << (8 * (i % 8));
-        }
+        let banks = self.sub1_targets_packed.len();
+        let mut c1 = pair::pack_counters(&self.sub1_counter);
+        let mut cp = pair::pack_counters(&self.subp_counter);
         let mut in_token = self.num_in_token;
         // The packed windows are one shift register under nested masks.
         let mut win64 = 0u64;
         for w in &self.subp_win {
             win64 |= w;
         }
-        let nsubp = self.subp_target.len();
+        let nsubp = self.subp.len();
         let any_ctx = self.any_ctx;
         let sub1_any = self.sub1_any;
-        let subp_any = self.subp_any;
-        let mut subp_live = self.subp_counter.iter().any(|&c| c != 0);
+        let bank = self
+            .pair
+            .as_ref()
+            .expect("block-ready batches have a pair bank");
         // Gate-skip tallies (one local add per skipped byte, folded into
         // `stats` at sync-out): how often the cross-query any-unit gates
         // actually save the pooled scans.
         let mut sub1_skips = 0u64;
         let mut subp_skips = 0u64;
 
-        let mut chunks = block.chunks_exact(swar::WORD_BYTES);
-        for chunk in chunks.by_ref() {
-            let word = swar::load_word(chunk.try_into().expect("8-byte chunk"));
+        for chunk in block.chunks(swar::WORD_BYTES) {
+            let word = load_chunk(chunk);
             let (wm, masked) = if any_ctx {
                 let wm = swar::classify_word(word);
-                let (masked, next) = swar::string_mask_word(
+                let (masked, next) = swar::string_mask_prefix(
                     wm.quotes,
                     wm.backslashes,
                     swar::StringState {
                         in_string,
                         pending_escape,
                     },
+                    chunk.len() as u32,
                 );
                 in_string = next.in_string;
                 pending_escape = next.pending_escape;
@@ -861,16 +821,14 @@ impl MultiEngine {
                 // every packed counter at once (no fire is possible since
                 // all run targets are ≥ 1), skipping the bank loop.
                 if sub1_any[gate_word] & gate_bit != 0 {
-                    for (bank, c1b) in c1.iter_mut().enumerate().take(banks) {
-                        let h = self.sub1_hits[bank * 256 + byte as usize];
-                        let mut c = (*c1b & h) + (LANE_LO & h);
-                        c -= (c & LANE_HI) >> 7;
+                    for (k, c1b) in c1.iter_mut().enumerate().take(banks) {
+                        let h = self.sub1_hits[k * 256 + byte as usize];
+                        let (c, mut f) = pair::run_step(*c1b, h, self.sub1_targets_packed[k]);
                         *c1b = c;
-                        let mut f = ((c | LANE_HI) - self.sub1_targets_packed[bank]) & LANE_HI;
                         while f != 0 {
                             let slot = f.trailing_zeros() as usize / 8;
                             f &= f - 1;
-                            for sub in &self.sub1_subs[bank * 8 + slot] {
+                            for sub in &self.sub1_subs[k * pair::LANES + slot] {
                                 self.lane_fires[sub.lane as usize] |= 1u64 << sub.node;
                             }
                             fired = true;
@@ -878,47 +836,19 @@ impl MultiEngine {
                     }
                 } else {
                     sub1_skips += u64::from(nsub1 != 0);
-                    for bank in c1.iter_mut().take(banks) {
-                        *bank = 0;
-                    }
+                    c1[..banks].fill(0);
                 }
                 if nsubp != 0 {
                     win64 = (win64 << 8) | u64::from(byte);
-                    // Same trick for the packed units: a byte that is no
-                    // unit's last needle byte misses every gate, so all
-                    // counters reset and the per-unit scan is skipped.
-                    if subp_any[gate_word] & gate_bit != 0 {
-                        for i in 0..nsubp {
-                            let gate = self.subp_gate[i * 4 + gate_word] & gate_bit != 0;
-                            let hit = gate && {
-                                let w = win64 & self.subp_win_mask[i];
-                                let off = self.subp_blocks_off[i] as usize;
-                                let len = self.subp_blocks_len[i] as usize;
-                                self.subp_blocks[off..off + len].contains(&w)
-                            };
-                            let c = if hit {
-                                self.subp_counter[i].saturating_add(1)
-                            } else {
-                                0
-                            };
-                            self.subp_counter[i] = c;
-                            if c >= self.subp_target[i] {
-                                for sub in &self.subp_subs[i] {
-                                    self.lane_fires[sub.lane as usize] |= 1u64 << sub.node;
-                                }
-                                fired = true;
-                            }
+                    // The pair bank's own gate: a byte in no pair key
+                    // resets every counter without a lookup.
+                    let looked_up = bank.step(&self.subp, &mut cp, win64, |i| {
+                        for sub in &self.subp_subs[i] {
+                            self.lane_fires[sub.lane as usize] |= 1u64 << sub.node;
                         }
-                        subp_live = true;
-                    } else {
-                        subp_skips += 1;
-                        if subp_live {
-                            for c in &mut self.subp_counter {
-                                *c = 0;
-                            }
-                            subp_live = false;
-                        }
-                    }
+                        fired = true;
+                    });
+                    subp_skips += u64::from(!looked_up);
                 }
                 if is_number_byte(byte) {
                     for i in 0..self.num_state.len() {
@@ -959,7 +889,7 @@ impl MultiEngine {
                 let mut is_comma = false;
                 if structural & bit != 0 {
                     if wm.opens & bit != 0 {
-                        depth += 1;
+                        depth = depth.saturating_add(1);
                     } else if wm.closes & bit != 0 {
                         is_close = true;
                     } else {
@@ -997,21 +927,16 @@ impl MultiEngine {
             }
         }
 
-        // Sync packed state back out, then run the sub-word tail through
-        // the byte-serial path from the synced state.
-        for i in 0..nsub1 {
-            self.sub1_counter[i] = ((c1[i / 8] >> (8 * (i % 8))) & 0xff) as u32;
-        }
+        // Sync packed state back out.
+        pair::unpack_counters(&c1, &mut self.sub1_counter);
+        pair::unpack_counters(&cp, &mut self.subp_counter);
         for i in 0..nsubp {
-            self.subp_win[i] = win64 & self.subp_win_mask[i];
+            self.subp_win[i] = win64 & self.subp.win_mask[i];
         }
         self.num_in_token = in_token;
         self.stats.sub1_gate_skips += sub1_skips;
         self.stats.subp_gate_skips += subp_skips;
         self.tracker.restore(in_string, pending_escape, depth);
-        for &byte in chunks.remainder() {
-            self.on_byte(byte);
-        }
     }
 
     /// ORs every currently-accepting lane's bit into `out` (one bit per
@@ -1022,6 +947,13 @@ impl MultiEngine {
                 out[q / 64] |= 1u64 << (q % 64);
             }
         }
+    }
+
+    /// Test hook: the structural tracker, so a stream can start at an
+    /// extreme nesting depth.
+    #[cfg(test)]
+    pub(crate) fn tracker_mut(&mut self) -> &mut StreamTracker {
+        &mut self.tracker
     }
 
     /// Record-boundary reset of every lane and the shared pool.

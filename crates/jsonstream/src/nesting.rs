@@ -45,7 +45,7 @@ impl NestingTracker {
         }
         match b {
             b'{' | b'[' => {
-                self.depth += 1;
+                self.depth = self.depth.saturating_add(1);
                 self.depth
             }
             b'}' | b']' => {
@@ -116,6 +116,18 @@ impl MemberBoundary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn depth_saturates_instead_of_wrapping() {
+        let mut t = NestingTracker {
+            depth: u32::MAX,
+            ..NestingTracker::default()
+        };
+        assert_eq!(t.on_byte(b'{'), u32::MAX);
+        assert_eq!(t.on_byte(b'['), u32::MAX);
+        assert_eq!(t.on_byte(b']'), u32::MAX);
+        assert_eq!(t.depth(), u32::MAX - 1);
+    }
 
     #[test]
     fn flat_object_depths() {

@@ -149,6 +149,22 @@ fn prefix_xor(mut m: u8) -> u8 {
 /// on arbitrary byte soup.
 #[inline]
 pub fn string_mask_word(quotes: u8, backslashes: u8, state: StringState) -> (u8, StringState) {
+    string_mask_prefix(quotes, backslashes, state, 8)
+}
+
+/// [`string_mask_word`] for a partial word: only the first `len` bytes
+/// (`len ≤ 8`) are input, and the rest is padding with no quote or
+/// backslash bits (e.g. zero bytes). Bits `0..len` of the mask and the
+/// carry-out state are those of feeding just the `len` input bytes
+/// through [`StringMask::on_byte`](crate::StringMask::on_byte); the
+/// block loops use it for the last, partial word of a record.
+#[inline]
+pub fn string_mask_prefix(
+    quotes: u8,
+    backslashes: u8,
+    state: StringState,
+    len: u32,
+) -> (u8, StringState) {
     let carry = if state.in_string { 0xff } else { 0x00 };
     if backslashes == 0 && !state.pending_escape {
         // Every quote toggles; in-string-before is the exclusive prefix
@@ -191,7 +207,7 @@ pub fn string_mask_word(quotes: u8, backslashes: u8, state: StringState) -> (u8,
     let masked = before | quotes;
     let out = StringState {
         in_string: in_s,
-        pending_escape: esc_pos == 8,
+        pending_escape: esc_pos == len,
     };
     (masked, out)
 }
@@ -217,36 +233,6 @@ pub fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
         .iter()
         .position(|&b| b == needle)
         .map(|p| offset + p)
-}
-
-/// Whether `hay` contains `needle` as a contiguous substring —
-/// SWAR-accelerated first-byte candidate scan plus verification, used
-/// by the record-level literal prefilter. An empty needle is always
-/// contained.
-pub fn contains(hay: &[u8], needle: &[u8]) -> bool {
-    match needle.len() {
-        0 => true,
-        1 => find_byte(hay, needle[0]).is_some(),
-        n if n > hay.len() => false,
-        n => {
-            let first = needle[0];
-            let last_start = hay.len() - n;
-            let mut from = 0usize;
-            while from <= last_start {
-                match find_byte(&hay[from..=last_start], first) {
-                    Some(p) => {
-                        let pos = from + p;
-                        if &hay[pos..pos + n] == needle {
-                            return true;
-                        }
-                        from = pos + 1;
-                    }
-                    None => return false,
-                }
-            }
-            false
-        }
-    }
 }
 
 #[cfg(test)]
@@ -435,31 +421,5 @@ mod tests {
             );
         }
         assert_eq!(find_byte(b"", b'\n'), None);
-    }
-
-    #[test]
-    fn contains_matches_windows_scan() {
-        let hay: &[u8] = br#"{"name":"temperature","value":35.2}"#;
-        let needles: Vec<&[u8]> = vec![
-            b"",
-            b"t",
-            b"temperature",
-            b"35.2}",
-            br#"{"name"#,
-            b"humidity",
-            b"temperaturf",
-            br#"{"name":"temperature","value":35.2}"#,
-            br#"{"name":"temperature","value":35.2}x"#,
-        ];
-        for needle in needles {
-            let expect = needle.is_empty()
-                || (needle.len() <= hay.len() && hay.windows(needle.len()).any(|w| w == needle));
-            assert_eq!(
-                contains(hay, needle),
-                expect,
-                "needle {:?}",
-                String::from_utf8_lossy(needle)
-            );
-        }
     }
 }

@@ -133,15 +133,52 @@ proptest! {
             bytes[from..].iter().position(|&b| b == needle)
         );
     }
+}
 
-    #[test]
-    fn contains_matches_naive_search(
-        hay in prop::collection::vec(any::<u8>(), 0..120),
-        needle in prop::collection::vec(any::<u8>(), 0..12),
-    ) {
-        let expect = needle.is_empty()
-            || (needle.len() <= hay.len()
-                && hay.windows(needle.len()).any(|w| w == &needle[..]));
-        prop_assert_eq!(swar::contains(&hay, &needle), expect);
+/// The partial-word form: every prefix length of every word over the
+/// quote/backslash alphabet, from every carry-in state, zero-padded.
+#[test]
+fn string_mask_prefix_matches_scalar_on_partial_words() {
+    const ALPHABET: [u8; 3] = [b'"', b'\\', b'a'];
+    let states = [
+        StringState::default(),
+        StringState {
+            in_string: true,
+            pending_escape: false,
+        },
+        StringState {
+            in_string: true,
+            pending_escape: true,
+        },
+    ];
+    for len in 0..=WORD_BYTES {
+        for code in 0..3usize.pow(len as u32) {
+            let mut word = [0u8; WORD_BYTES];
+            let mut c = code;
+            for b in word.iter_mut().take(len) {
+                *b = ALPHABET[c % 3];
+                c /= 3;
+            }
+            for state in states {
+                let m = classify_word(load_word(&word));
+                let (bits, next) =
+                    swar::string_mask_prefix(m.quotes, m.backslashes, state, len as u32);
+                let mut scalar = StringMask::new();
+                scalar.restore(state.in_string, state.pending_escape);
+                for (j, &b) in word[..len].iter().enumerate() {
+                    assert_eq!(bits >> j & 1 == 1, scalar.on_byte(b), "{word:?} {state:?}");
+                }
+                assert_eq!(
+                    next.in_string,
+                    scalar.in_string(),
+                    "{word:?}/{len} {state:?}"
+                );
+                assert_eq!(
+                    next.pending_escape,
+                    scalar.pending_escape(),
+                    "{word:?}/{len} {state:?}"
+                );
+            }
+        }
     }
 }

@@ -308,8 +308,16 @@ mod tests {
         Expr::int_range(1, 5)
     }
 
+    /// Holds the arming lock without arming anything: no other test can
+    /// arm a plan while the returned guard lives, so backends compiled
+    /// under it are guaranteed to snapshot "disarmed".
+    fn disarmed() -> MutexGuard<'static, ()> {
+        ARM_SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn transparent_when_disarmed() {
+        let _serial = disarmed();
         let stream: &[u8] = b"{\"a\":3}\n{\"a\":9}\n";
         let mut faulty = FaultyBackend::<Engine>::compile(&expr());
         let mut clean = Engine::compile(&expr());
@@ -344,6 +352,7 @@ mod tests {
         assert_eq!(verdicts.len(), 2, "three records, one verdict dropped");
         // Disarmed after the guard drops: recompile runs clean.
         drop(armed);
+        let _serial = disarmed();
         let mut clean_lane = FaultyBackend::<Engine>::compile(&expr());
         assert_eq!(clean_lane.filter_stream(stream).len(), 3);
     }

@@ -17,7 +17,9 @@
 //! * the pool census is compared against an **independent** dedup
 //!   census computed straight from the source expressions (bit-exact
 //!   unit keys re-derived from the primitives, never from the compiled
-//!   plan), and the per-query censuses must sum to the batch total.
+//!   plan), and the per-query censuses must sum to the batch total;
+//! * the pool's pair bank is re-derived from the blocks of the distinct
+//!   packed substring units, in pool (first-seen) order.
 //!
 //! ## Diagnostic catalogue
 //!
@@ -27,8 +29,9 @@
 //! | M001 | error    | a lane's flat program violates a structural invariant |
 //! | M002 | error    | a lane's census or pool-stored table disagrees with its expression |
 //! | M003 | error    | pool dedup census disagrees with independent recomputation |
+//! | M004 | error    | pool pair bank disagrees with fresh derivation from the packed units' blocks |
 
-use crate::program::{check_unit, collect_expected, ExpectedUnits};
+use crate::program::{check_pair_bank, check_unit, collect_expected, ExpectedUnits};
 use crate::{Diagnostic, Layer, Report};
 use rfjson_core::backend::CompileError;
 use rfjson_core::expr::{Expr, StringTechnique};
@@ -163,6 +166,9 @@ pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
         ),
     ));
 
+    // Distinct packed substring units in first-seen order: the pool order
+    // the pair bank's lanes follow.
+    let mut pool_packed = Vec::new();
     for (q, (view, expr)) in fused.lane_views().iter().zip(fused.exprs()).enumerate() {
         for fault in view.check() {
             out.push(Diagnostic::error(
@@ -179,7 +185,7 @@ pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
             ("string-dfa", view.string_dfas.len(), exp.string_dfas.len()),
             ("number-dfa", view.number_dfas.len(), exp.number_dfas.len()),
             ("substring-b1", view.sub1_nodes.len(), exp.sub1),
-            ("substring-packed", view.subp_nodes.len(), exp.subp),
+            ("substring-packed", view.subp_nodes.len(), exp.packed.len()),
             ("substring-wide", view.wide_nodes.len(), exp.wide),
         ];
         for (kind, got, want) in censuses {
@@ -207,6 +213,21 @@ pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
             d.code = "M002";
             d.location = format!("lane {q}: {}", d.location);
             out.push(d);
+        }
+        for unit in exp.packed {
+            if !pool_packed.contains(&unit) {
+                pool_packed.push(unit);
+            }
+        }
+    }
+    if let Some(bank) = fused.pair_bank_view() {
+        for fault in check_pair_bank(&bank, &pool_packed) {
+            out.push(Diagnostic::error(
+                Layer::Program,
+                "M004",
+                "pair bank",
+                fault,
+            ));
         }
     }
 

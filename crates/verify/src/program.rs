@@ -28,13 +28,16 @@
 //! | P020 | error    | unit censuses disagree with the source expression |
 //! | P021 | error    | stored dense table offset out of range |
 //! | P022 | error    | stored dense table or start disagrees with fresh derivation |
+//! | P023 | error    | stored pair bank disagrees with fresh derivation from the packed units' blocks |
 
 use crate::{Diagnostic, Layer};
 use rfjson_core::engine::{DfaUnitView, ProgramFault, ProgramView};
 use rfjson_core::expr::{Expr, StringTechnique};
-use rfjson_core::primitive::DfaStringMatcher;
+use rfjson_core::pair::{PairBankView, LANES};
+use rfjson_core::primitive::{DfaStringMatcher, SubstringMatcher};
 use rfjson_core::Engine;
 use rfjson_redfa::Dfa;
+use std::collections::HashSet;
 
 /// Maps one [`ProgramFault`] to its diagnostic.
 fn fault_diag(fault: &ProgramFault) -> Diagnostic {
@@ -71,8 +74,129 @@ pub(crate) struct ExpectedUnits {
     pub(crate) string_dfas: Vec<Dfa>,
     pub(crate) number_dfas: Vec<Dfa>,
     pub(crate) sub1: usize,
-    pub(crate) subp: usize,
+    pub(crate) packed: Vec<PackedUnit>,
     pub(crate) wide: usize,
+}
+
+/// A packed substring unit (2 ≤ B ≤ 8) freshly derived from its source
+/// primitive: what a pair bank must encode for it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct PackedUnit {
+    /// Block length B.
+    pub b: usize,
+    /// The matcher's distinct blocks.
+    pub blocks: Vec<Vec<u8>>,
+    /// Run target.
+    pub target: u32,
+}
+
+/// The packed substring units of `expr`, in the compiler's visit order.
+pub fn packed_units(expr: &Expr) -> Vec<PackedUnit> {
+    let mut exp = ExpectedUnits::default();
+    collect_expected(expr, &mut exp);
+    exp.packed
+}
+
+/// Re-derives the pair bank of `units` (in bank-lane order) and returns
+/// every way `bank` disagrees with it. The derivation is independent of
+/// the compiler's class numbering: every byte in a pair key (the last
+/// two bytes of a block) must have a nonzero class and every other byte
+/// class 0; for every pair of key bytes, the table entry of their class
+/// pair must hold `0xFF` in exactly the lanes whose unit has a block
+/// ending in that pair; every entry no key pair reaches must be zero;
+/// targets and B > 2 confirm lanes must match the units.
+pub fn check_pair_bank(bank: &PairBankView, units: &[PackedUnit]) -> Vec<String> {
+    let banks = units.len().div_ceil(LANES);
+    let size = bank.stride * bank.stride;
+    if bank.class.len() != 256
+        || bank.targets.len() != banks
+        || bank.confirm.len() != banks
+        || bank.table.len() != banks * size
+    {
+        return vec![format!(
+            "bank shape (classes {}, {} banks, table {}) does not fit {} units at stride {}",
+            bank.class.len(),
+            bank.targets.len(),
+            bank.table.len(),
+            units.len(),
+            bank.stride
+        )];
+    }
+    let mut faults = Vec::new();
+    let pairs: Vec<HashSet<(u8, u8)>> = units
+        .iter()
+        .map(|u| {
+            u.blocks
+                .iter()
+                .map(|blk| (blk[blk.len() - 2], blk[blk.len() - 1]))
+                .collect()
+        })
+        .collect();
+    let mut key = [false; 256];
+    for &(a, b) in pairs.iter().flatten() {
+        key[usize::from(a)] = true;
+        key[usize::from(b)] = true;
+    }
+    for (byte, &is_key) in key.iter().enumerate() {
+        let class = usize::from(bank.class[byte]);
+        if is_key != (class != 0) || class >= bank.stride {
+            faults.push(format!("byte 0x{byte:02x} has class {class}"));
+        }
+    }
+    let key_bytes: Vec<u8> = (0..=255u8).filter(|&b| key[usize::from(b)]).collect();
+    let mut expected = vec![0u64; bank.table.len()];
+    let mut reached = vec![false; size];
+    for &a in &key_bytes {
+        for &b in &key_bytes {
+            let cell = usize::from(bank.class[usize::from(a)]) * bank.stride
+                + usize::from(bank.class[usize::from(b)]);
+            if cell >= size {
+                continue; // already reported as a class fault
+            }
+            reached[cell] = true;
+            for (u, set) in pairs.iter().enumerate() {
+                if set.contains(&(a, b)) {
+                    expected[(u / LANES) * size + cell] |= 0xffu64 << (8 * (u % LANES));
+                }
+            }
+        }
+    }
+    for (i, (&got, &want)) in bank.table.iter().zip(&expected).enumerate() {
+        let (k, cell) = (i / size, i % size);
+        if got != want {
+            faults.push(format!(
+                "bank {k} entry ({}, {}): stored 0x{got:016x}, derived 0x{want:016x}{}",
+                cell / bank.stride,
+                cell % bank.stride,
+                if reached[cell] { "" } else { " (no key pair)" }
+            ));
+        }
+    }
+    for k in 0..banks {
+        let lanes = &units[k * LANES..units.len().min((k + 1) * LANES)];
+        let mut targets = 0u64;
+        let mut confirm = 0u64;
+        for lane in 0..LANES {
+            let unit = lanes.get(lane);
+            targets |= unit.map_or(127, |u| u64::from(u.target)) << (8 * lane);
+            if unit.is_some_and(|u| u.b > 2) {
+                confirm |= 0xffu64 << (8 * lane);
+            }
+        }
+        if bank.targets[k] != targets {
+            faults.push(format!(
+                "bank {k} targets 0x{:016x}, derived 0x{targets:016x}",
+                bank.targets[k]
+            ));
+        }
+        if bank.confirm[k] != confirm {
+            faults.push(format!(
+                "bank {k} confirm lanes 0x{:016x}, derived 0x{confirm:016x}",
+                bank.confirm[k]
+            ));
+        }
+    }
+    faults
 }
 
 pub(crate) fn collect_expected(expr: &Expr, exp: &mut ExpectedUnits) {
@@ -86,7 +210,13 @@ pub(crate) fn collect_expected(expr: &Expr, exp: &mut ExpectedUnits) {
                 if b == 1 {
                     exp.sub1 += 1;
                 } else if b <= 8 {
-                    exp.subp += 1;
+                    let m = SubstringMatcher::new(&spec.needle, b)
+                        .expect("expression was validated at compile time");
+                    exp.packed.push(PackedUnit {
+                        b,
+                        blocks: m.blocks().to_vec(),
+                        target: m.target(),
+                    });
                 } else {
                     exp.wide += 1;
                 }
@@ -161,7 +291,7 @@ pub fn verify_engine(engine: &Engine) -> Vec<Diagnostic> {
         ("string-dfa", view.string_dfas.len(), exp.string_dfas.len()),
         ("number-dfa", view.number_dfas.len(), exp.number_dfas.len()),
         ("substring-b1", view.sub1_nodes.len(), exp.sub1),
-        ("substring-packed", view.subp_nodes.len(), exp.subp),
+        ("substring-packed", view.subp_nodes.len(), exp.packed.len()),
         ("substring-wide", view.wide_nodes.len(), exp.wide),
     ];
     for (kind, got, want) in censuses {
@@ -180,6 +310,16 @@ pub fn verify_engine(engine: &Engine) -> Vec<Diagnostic> {
     }
     for (i, (unit, fresh)) in view.number_dfas.iter().zip(&exp.number_dfas).enumerate() {
         check_unit("number-dfa", i, unit, fresh, &view.tables, &mut out);
+    }
+    if let Some(bank) = engine.pair_bank_view() {
+        for fault in check_pair_bank(&bank, &exp.packed) {
+            out.push(Diagnostic::error(
+                Layer::Program,
+                "P023",
+                "pair bank",
+                fault,
+            ));
+        }
     }
     out
 }
@@ -236,6 +376,24 @@ mod tests {
                 .any(|d| d.code == "P010" && d.severity == Severity::Error),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn pair_bank_is_clean_and_class_map_corruption_is_flagged() {
+        let expr = Expr::and([
+            Expr::substring(b"tolls_amount", 2).unwrap(),
+            Expr::substring(b"total_amount", 3).unwrap(),
+        ]);
+        let engine = Engine::compile(&expr);
+        assert!(verify_engine(&engine).is_empty());
+        let units = packed_units(&expr);
+        let mut view = engine.pair_bank_view().expect("fits a pair bank");
+        // Point a non-key byte at a live class: it would count as a letter.
+        view.class[usize::from(b'Z')] = view.class[usize::from(b'a')];
+        assert!(!check_pair_bank(&view, &units).is_empty());
+        let mut view = engine.pair_bank_view().expect("fits a pair bank");
+        view.confirm[0] = 0;
+        assert!(!check_pair_bank(&view, &units).is_empty());
     }
 
     #[test]

@@ -227,3 +227,54 @@ fn mutation_double_driven_net_is_flagged() {
         "{diags:?}"
     );
 }
+
+/// Mutation class 4 — one bit of one lane of a stored pair-bank entry
+/// flipped: that unit would count (or miss) a byte pair its blocks do
+/// not (or do) contain. Every cell of every bank, and every bit of the
+/// lane, must be caught by the re-derivation from the units' blocks.
+#[test]
+fn mutation_flipped_pair_bank_lane_bit_is_flagged() {
+    // Nine packed units (two banks), B = 2 and B = 3..8, with needles
+    // that share byte classes.
+    let needles: [(&[u8], usize); 9] = [
+        (b"tolls_amount", 2),
+        (b"total_amount", 2),
+        (b"trip_distance", 3),
+        (b"fare_amount", 4),
+        (b"tip_amount", 5),
+        (b"trip_time_in_secs", 6),
+        (b"passenger_count", 7),
+        (b"pickup_longitude", 8),
+        (b"dropoff", 2),
+    ];
+    let expr = Expr::or(
+        needles
+            .iter()
+            .map(|&(n, b)| Expr::substring(n, b).unwrap())
+            .collect::<Vec<_>>(),
+    );
+    let engine = Engine::compile(&expr);
+    let view = engine.pair_bank_view().expect("the units fit a pair bank");
+    assert_eq!(view.targets.len(), 2, "nine units need two banks");
+    let units = program::packed_units(&expr);
+    assert!(program::check_pair_bank(&view, &units).is_empty());
+    assert!(program::verify_engine(&engine)
+        .iter()
+        .all(|d| d.severity < Severity::Error));
+
+    let mut state = 0x5eed_u64;
+    for _ in 0..256 {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let entry = (state >> 16) as usize % view.table.len();
+        let bit = (state >> 48) as u32 % 64;
+        let mut mutated = view.clone();
+        mutated.table[entry] ^= 1u64 << bit;
+        let faults = program::check_pair_bank(&mutated, &units);
+        assert!(
+            !faults.is_empty(),
+            "flipping bit {bit} of entry {entry} went unnoticed"
+        );
+    }
+}

@@ -245,3 +245,240 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Pair bank: the block-scan form of the packed substring units (B = 2
+// looks up exactly, B = 3..8 confirms with the block compare).
+// ---------------------------------------------------------------------
+
+/// The model's latched accept after every byte of `record`.
+fn model_trace(expr: &Expr, record: &[u8]) -> Vec<bool> {
+    let mut model = CompiledFilter::compile(expr);
+    model.reset();
+    record.iter().map(|&b| model.on_byte(b)).collect()
+}
+
+/// Splits `record` at **every** seam, twice over: a byte-serial prefix
+/// plus one block, and two back-to-back blocks. After each block the
+/// engine's latched accept must equal the model's at that byte, and the
+/// record decision must match after the separator.
+fn assert_every_seam(expr: &Expr, record: &[u8]) {
+    let trace = model_trace(expr, record);
+    let want = CompiledFilter::compile(expr).accepts_record(record);
+    let mut engine = Engine::compile(expr);
+    for split in 0..=record.len() {
+        for serial_prefix in [true, false] {
+            engine.reset();
+            let mut last = false;
+            if serial_prefix {
+                for &b in &record[..split] {
+                    last = engine.on_byte(b);
+                }
+            } else if split > 0 {
+                last = engine.on_block(&record[..split]);
+                assert_eq!(last, trace[split - 1], "`{expr}` first block to {split}");
+            }
+            if split < record.len() {
+                last = engine.on_block(&record[split..]);
+                assert_eq!(last, *trace.last().unwrap(), "`{expr}` block from {split}");
+            }
+            assert_eq!(
+                engine.on_byte(b'\n') || last,
+                want,
+                "`{expr}` split {split} (serial prefix {serial_prefix}) on {:?}",
+                String::from_utf8_lossy(record)
+            );
+        }
+    }
+}
+
+/// Cuts `record` into pieces of the (cycled) lengths `cuts`, feeding them
+/// alternately through `on_block` and `on_byte`; the latched accept must
+/// track the model's at every piece end and every serial byte.
+fn assert_interleaved(expr: &Expr, record: &[u8], cuts: &[usize]) {
+    let trace = model_trace(expr, record);
+    let mut engine = Engine::compile(expr);
+    engine.reset();
+    let mut at = 0;
+    for (i, &cut) in cuts.iter().cycle().enumerate() {
+        if at >= record.len() {
+            break;
+        }
+        let end = (at + cut.max(1)).min(record.len());
+        if i % 2 == 0 {
+            let got = engine.on_block(&record[at..end]);
+            assert_eq!(got, trace[end - 1], "`{expr}` block {at}..{end}");
+        } else {
+            for (j, &b) in record[at..end].iter().enumerate() {
+                assert_eq!(engine.on_byte(b), trace[at + j], "`{expr}` byte {}", at + j);
+            }
+        }
+        at = end;
+    }
+}
+
+/// Packed units at every block length the bank serves, with needles
+/// that share byte classes (`tolls_amount` / `total_amount`).
+fn packed_zoo() -> Vec<Expr> {
+    let mut zoo: Vec<Expr> = (2..=8)
+        .map(|b| {
+            Expr::context_scoped(
+                StructScope::Member,
+                [
+                    Expr::substring(b"tolls_amount", b).unwrap(),
+                    Expr::float_range("2.50", "18.00").unwrap(),
+                ],
+            )
+        })
+        .collect();
+    zoo.push(Expr::and([
+        Expr::substring(b"tolls_amount", 2).unwrap(),
+        Expr::substring(b"total_amount", 2).unwrap(),
+    ]));
+    zoo.push(Expr::or([
+        Expr::substring(b"tolls_amount", 3).unwrap(),
+        Expr::substring(b"total_amount", 2).unwrap(),
+        Expr::substring(b"amount", 6).unwrap(),
+    ]));
+    zoo
+}
+
+const PACKED_RECORDS: &[&[u8]] = &[
+    br#"{"fare_amount":11.50,"tolls_amount":5.33,"total_amount":17.33}"#,
+    br#"{"fare_amount":11.50,"tolls_amount":0.00,"total_amount":12.00}"#,
+    br#"{"total_amount":7.5,"tolls_amountx":3}"#,
+    br#"{"tollls_amount":3.00,"tolls_amoun":4.00,"ttoollss":1}"#,
+    br#"{"k":"tolls_amount\",\"x\":3","tolls_amount":2.75}"#,
+    b"tolls_amounttolls_amount",
+    // High-bit twins of needle letters ('t' | 0x80, 'a' | 0x80) right
+    // before a needle: one window short of a fire.
+    b"{\"\xf4olls_amount\":3.00,\"\xe1mount\":1}",
+    b"amount",
+    b"",
+];
+
+#[test]
+fn pair_bank_equals_model_at_every_seam() {
+    for expr in packed_zoo() {
+        assert!(Engine::compile(&expr).block_scan_ready(), "`{expr}`");
+        for record in PACKED_RECORDS {
+            assert_every_seam(&expr, record);
+            assert_interleaved(&expr, record, &[9, 3, 8, 1, 16, 5]);
+            assert_interleaved(&expr, record, &[1, 1, 7]);
+        }
+        for record in taxi::generate(91, 12).records() {
+            assert_every_seam(&expr, record);
+        }
+    }
+}
+
+/// A 127-byte needle at B = 2 has run target 126, the largest a packed
+/// lane holds; one byte more (target 127) is refused the bank and runs
+/// byte-serial. Both must equal the model on runs one short of, exactly
+/// at, and past the target.
+#[test]
+fn pair_bank_target_cap_and_one_past_it() {
+    let needle =
+        |len: usize| -> Vec<u8> { b"abcdefghij".iter().copied().cycle().take(len).collect() };
+    for (len, banked) in [(127, true), (128, false)] {
+        let expr = Expr::substring(&needle(len), 2).unwrap();
+        let engine = Engine::compile(&expr);
+        assert_eq!(engine.block_scan_ready(), banked, "needle of {len} bytes");
+        assert_eq!(engine.pair_bank_view().is_some(), banked);
+        for run in [len - 1, len, len + 1, 2 * len] {
+            let mut record = b"{\"k\":\"".to_vec();
+            record.extend(needle(run));
+            record.extend_from_slice(b"\"}");
+            let want = CompiledFilter::compile(&expr).accepts_record(&record);
+            assert_eq!(want, run >= len, "run {run} of a {len}-byte needle");
+            assert_every_seam(&expr, &record);
+            assert_interleaved(&expr, &record, &[40, 2, 64, 3]);
+        }
+    }
+}
+
+/// More than eight packed units: the bank spills into a second and third
+/// lane word.
+#[test]
+fn pair_bank_spans_several_banks() {
+    let fields: [&[u8]; 11] = [
+        b"vendor_id",
+        b"pickup_datetime",
+        b"dropoff_datetime",
+        b"passenger_count",
+        b"trip_time_in_secs",
+        b"trip_distance",
+        b"fare_amount",
+        b"surcharge",
+        b"mta_tax",
+        b"tip_amount",
+        b"tolls_amount",
+    ];
+    let units: Vec<Expr> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| Expr::substring(f, 2 + i % 7).unwrap())
+        .collect();
+    for expr in [
+        Expr::or(units.clone()),
+        Expr::and(units.clone()),
+        Expr::context_scoped(
+            StructScope::Member,
+            [Expr::or(units), Expr::int_range(1, 99)],
+        ),
+    ] {
+        let engine = Engine::compile(&expr);
+        let bank = engine.pair_bank_view().expect("eleven units fit");
+        assert_eq!(bank.targets.len(), 2, "`{expr}`");
+        let taxi = taxi::generate(92, 10);
+        let records = taxi.records().iter().map(Vec::as_slice);
+        for record in records.chain(PACKED_RECORDS.iter().copied()) {
+            assert_every_seam(&expr, record);
+            assert_bytewise(&expr, record);
+        }
+    }
+}
+
+/// A needle with more distinct pair-key bytes than the bank has classes
+/// is refused the bank; the program falls back byte-serial and still
+/// equals the model.
+#[test]
+fn pair_bank_refusal_falls_back_byte_serial() {
+    let soup: Vec<u8> = (b'!'..=b'~').filter(|&b| b != b'"' && b != b'\\').collect();
+    assert!(soup.len() > rfjson_core::pair::MAX_CLASSES);
+    let expr = Expr::context([
+        Expr::substring(&soup, 2).unwrap(),
+        Expr::substring(b"tolls_amount", 2).unwrap(),
+    ]);
+    let engine = Engine::compile(&expr);
+    assert!(!engine.block_scan_ready());
+    assert!(engine.pair_bank_view().is_none());
+    let mut with_soup = b"{\"k\":\"".to_vec();
+    with_soup.extend_from_slice(&soup);
+    with_soup.extend_from_slice(b"\",\"tolls_amount\":1}");
+    for record in PACKED_RECORDS.iter().copied().chain([&with_soup[..]]) {
+        assert_every_seam(&expr, record);
+        assert_bytewise(&expr, record);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random byte strings over the needles' own letters plus structure,
+    /// cut at random piece lengths: the bank must track the model.
+    #[test]
+    fn pair_bank_equals_model_on_needle_soup(
+        picks in proptest::collection::vec(0usize..26, 0..96),
+        cuts in proptest::collection::vec(1usize..20, 1..6),
+        expr_idx in 0usize..9,
+    ) {
+        // 0xE1 and 0xF4 are 'a' and 't' with the high bit set.
+        const ALPHABET: &[u8] = b"tolls_amountal_\"{},:5.3 \xe1\xf4";
+        let record: Vec<u8> = picks.iter().map(|&p| ALPHABET[p]).collect();
+        let zoo = packed_zoo();
+        let expr = &zoo[expr_idx % zoo.len()];
+        assert_interleaved(expr, &record, &cuts);
+        assert_blockwise(expr, &record);
+    }
+}

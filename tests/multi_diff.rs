@@ -333,3 +333,171 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Pooled pair bank, checked against one CompiledFilter model per lane.
+// ---------------------------------------------------------------------
+
+/// Every lane's model accept after every byte of `record`.
+fn model_traces(exprs: &[Expr], record: &[u8]) -> Vec<Vec<bool>> {
+    exprs
+        .iter()
+        .map(|expr| {
+            let mut model = rfjson_core::CompiledFilter::compile(expr);
+            model.reset();
+            record.iter().map(|&b| model.on_byte(b)).collect()
+        })
+        .collect()
+}
+
+/// Asserts every lane's latched accept equals its model's after byte
+/// `at` (the last byte fed).
+fn assert_lanes_at(fused: &MultiEngine, traces: &[Vec<bool>], at: usize, what: &str) {
+    let mut out = vec![0u64; traces.len().div_ceil(64)];
+    fused.write_accepts(&mut out);
+    for (q, trace) in traces.iter().enumerate() {
+        assert_eq!(bit(&out, q), trace[at], "lane {q}: {what} at byte {at}");
+    }
+}
+
+/// Splits `record` at every seam into two blocks, and separately cuts
+/// it into pieces fed alternately through `on_block` and `on_byte`; every
+/// lane must track its model at every block end and serial byte.
+fn assert_pair_bank_lanes(exprs: &[Expr], record: &[u8], cuts: &[usize]) {
+    let traces = model_traces(exprs, record);
+    let mut fused = MultiEngine::compile_batch(exprs);
+    for split in 1..record.len() {
+        fused.reset();
+        fused.on_block(&record[..split]);
+        assert_lanes_at(&fused, &traces, split - 1, "first block");
+        fused.on_block(&record[split..]);
+        assert_lanes_at(&fused, &traces, record.len() - 1, "second block");
+    }
+    fused.reset();
+    let mut at = 0;
+    for (i, &cut) in cuts.iter().cycle().enumerate() {
+        if at >= record.len() {
+            break;
+        }
+        let end = (at + cut.max(1)).min(record.len());
+        if i % 2 == 0 {
+            fused.on_block(&record[at..end]);
+            assert_lanes_at(&fused, &traces, end - 1, "interleaved block");
+        } else {
+            for (j, &b) in record.iter().enumerate().take(end).skip(at) {
+                fused.on_byte(b);
+                assert_lanes_at(&fused, &traces, j, "interleaved byte");
+            }
+        }
+        at = end;
+    }
+}
+
+/// Eleven taxi field names as packed units of every B the bank serves,
+/// one lane each: more than eight pooled units, so two banks.
+fn packed_batch() -> Vec<Expr> {
+    let fields: [&[u8]; 11] = [
+        b"vendor_id",
+        b"pickup_datetime",
+        b"dropoff_datetime",
+        b"passenger_count",
+        b"trip_time_in_secs",
+        b"trip_distance",
+        b"fare_amount",
+        b"surcharge",
+        b"mta_tax",
+        b"tip_amount",
+        b"tolls_amount",
+    ];
+    let mut batch: Vec<Expr> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| Expr::substring(f, 2 + i % 7).unwrap())
+        .collect();
+    // Class-sharing needles and a context lane over one of them.
+    batch.push(Expr::substring(b"total_amount", 2).unwrap());
+    batch.push(Expr::context_scoped(
+        StructScope::Member,
+        [
+            Expr::substring(b"tolls_amount", 2).unwrap(),
+            Expr::float_range("2.50", "18.00").unwrap(),
+        ],
+    ));
+    batch
+}
+
+const PACKED_RECORDS: &[&[u8]] = &[
+    br#"{"fare_amount":11.50,"tolls_amount":5.33,"total_amount":17.33}"#,
+    br#"{"total_amount":7.5,"tolls_amountx":3,"tip_amount":1}"#,
+    br#"{"k":"tolls_amount\",\"x\":3","tolls_amount":2.75}"#,
+    b"tolls_amounttotal_amount",
+    // High-bit twins of needle letters ('t' | 0x80, 'a' | 0x80) right
+    // before a needle: one window short of a fire.
+    b"{\"\xf4olls_amount\":3.00,\"\xe1mount\":1}",
+];
+
+#[test]
+fn pooled_pair_bank_equals_models_at_every_seam() {
+    let batch = packed_batch();
+    let fused = MultiEngine::compile_batch(&batch);
+    assert!(fused.block_scan_ready());
+    let bank = fused.pair_bank_view().expect("the pool fits a pair bank");
+    assert_eq!(bank.targets.len(), 2, "12 pooled units need two banks");
+    let taxi = taxi::generate(93, 8);
+    let records = taxi.records().iter().map(Vec::as_slice);
+    for record in records.chain(PACKED_RECORDS.iter().copied()) {
+        assert_pair_bank_lanes(&batch, record, &[9, 3, 8, 1, 16, 5]);
+    }
+}
+
+/// Run target 126 (a 127-byte needle at B = 2) pools into the bank; a
+/// 128-byte needle (target 127) in the same batch refuses it, and a
+/// needle with more pair-key bytes than classes does too. All three
+/// batches must equal the models.
+#[test]
+fn pooled_pair_bank_target_cap_and_refusal() {
+    let needle =
+        |len: usize| -> Vec<u8> { b"abcdefghij".iter().copied().cycle().take(len).collect() };
+    let soup: Vec<u8> = (b'!'..=b'~').filter(|&b| b != b'"' && b != b'\\').collect();
+    let at_cap = vec![
+        Expr::substring(&needle(127), 2).unwrap(),
+        Expr::substring(b"tolls_amount", 2).unwrap(),
+    ];
+    let past_cap = vec![
+        Expr::substring(&needle(128), 2).unwrap(),
+        Expr::substring(b"tolls_amount", 2).unwrap(),
+    ];
+    let too_many_classes = vec![
+        Expr::substring(&soup, 2).unwrap(),
+        Expr::substring(b"tolls_amount", 3).unwrap(),
+    ];
+    for (batch, banked) in [(at_cap, true), (past_cap, false), (too_many_classes, false)] {
+        let fused = MultiEngine::compile_batch(&batch);
+        assert_eq!(fused.block_scan_ready(), banked, "{batch:?}");
+        assert_eq!(fused.pair_bank_view().is_some(), banked);
+        for run in [126, 127, 128, 200] {
+            let mut record = b"{\"tolls_amount\":1,\"k\":\"".to_vec();
+            record.extend(needle(run));
+            record.extend_from_slice(&soup);
+            record.extend_from_slice(b"\"}");
+            assert_pair_bank_lanes(&batch, &record, &[40, 2, 64, 3]);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random soup over the needles' letters, random piece cuts: every
+    /// lane of the two-bank pool must track its model.
+    #[test]
+    fn pooled_pair_bank_equals_models_on_needle_soup(
+        picks in proptest::collection::vec(0usize..28, 1..80),
+        cuts in proptest::collection::vec(1usize..20, 1..6),
+    ) {
+        // 0xE1 and 0xF4 are 'a' and 't' with the high bit set.
+        const ALPHABET: &[u8] = b"tolls_amountfare_tip\"{},:5\xe1\xf4";
+        let record: Vec<u8> = picks.iter().map(|&p| ALPHABET[p]).collect();
+        assert_pair_bank_lanes(&packed_batch(), &record, &cuts);
+    }
+}

@@ -143,8 +143,8 @@ fn bytes_are_conserved_on_serial_engine_streams() {
     let _guard = serialize();
     // RiotBench streams are pure `record\n` sequences (no CRs, no blank
     // lines), so every stream byte lands in exactly one scan-path
-    // bucket: the SWAR word loop, the byte-serial path (sub-word tails
-    // and separators), or a prefilter-rejected record.
+    // bucket: the SWAR word loop or the byte-serial path (sub-word
+    // tails and separators).
     let corpus = smartcity_corpus(150);
     let stream = corpus.stream();
     let expr = query_to_exprs(&Query::qs0(), 1).expect("query converts");
@@ -152,9 +152,7 @@ fn bytes_are_conserved_on_serial_engine_streams() {
     let mut engine = Engine::compile(&expr);
     let (decisions, d) = window(|| engine.filter_stream(&stream));
     assert_eq!(decisions.len(), corpus.len());
-    let scanned = d.counter("engine.bytes.block")
-        + d.counter("engine.bytes.byte_serial")
-        + d.counter("engine.bytes.prefilter_skipped");
+    let scanned = d.counter("engine.bytes.block") + d.counter("engine.bytes.byte_serial");
     assert_eq!(scanned, stream.len() as u64, "single-query byte paths");
 
     let batch = vec![

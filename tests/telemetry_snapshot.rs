@@ -32,20 +32,16 @@ fn qs0_snapshot_json_is_pinned() {
 
     assert_eq!(decisions.iter().filter(|m| **m).count(), 14);
 
-    // 25 records of the 215–220-byte smartcity distribution: 5400 bytes
-    // through the SWAR word loop, 51 through the byte-serial path
-    // (sub-word tails + the 25 newline separators), none prefilter-
-    // skipped (QS0's literals occur in every record, so the prefilter
-    // never rejects and self-disables after probation — no
-    // `engine.prefilter.rejected` / `.disabled` entries survive the
-    // delta's drop-if-unchanged rule).
+    // 25 records of the 215–220-byte smartcity distribution: all 5426
+    // content bytes through the SWAR word loop (each record's last
+    // partial word zero-padded) and the 25 newline separators through
+    // the byte-serial path.
     let golden = concat!(
         "{\n",
         "  \"schema\": \"rfjson-telemetry/v1\",\n",
         "  \"counters\": {\n",
-        "    \"engine.bytes.block\": 5400,\n",
-        "    \"engine.bytes.byte_serial\": 51,\n",
-        "    \"engine.prefilter.checked\": 25,\n",
+        "    \"engine.bytes.block\": 5426,\n",
+        "    \"engine.bytes.byte_serial\": 25,\n",
         "    \"engine.records\": 25,\n",
         "    \"framing.records\": 25\n",
         "  },\n",
@@ -56,5 +52,5 @@ fn qs0_snapshot_json_is_pinned() {
     assert_eq!(delta.filtered(&["engine.", "framing."]).to_json(), golden);
 
     // Byte conservation, restated on the pinned numbers.
-    assert_eq!(5400 + 51, stream.len());
+    assert_eq!(5426 + 25, stream.len());
 }
