@@ -34,6 +34,7 @@
 
 use crate::evaluator::StreamTracker;
 use crate::expr::{Expr, StringTechnique, StructScope};
+use crate::numbers::{self, NumberBank, NumberBankView, NumberUnits};
 use crate::pair::{self, PackedUnits, PairBank, PairBankView};
 use crate::primitive::{DfaStringMatcher, FireFilter, SubstringMatcher, WindowMatcher};
 use rfjson_jsonstream::swar;
@@ -724,6 +725,9 @@ pub struct Engine {
     /// Pair bank of the packed substring units; `None` unless
     /// `block_ready`.
     pair: Option<PairBank>,
+    /// Number bank of the number-range units, fire words in latch bits;
+    /// `None` unless `block_ready`.
+    numbers: Option<NumberBank>,
 
     // ---- mutable per-stream state ----
     /// Telemetry accumulated in plain locals on the hot path and flushed
@@ -734,7 +738,12 @@ pub struct Engine {
     flag_level: Vec<u32>,
     sdfa_state: Vec<u16>,
     num_state: Vec<u16>,
-    num_in_token: Vec<bool>,
+    /// All number units share one token trajectory (`is_number_byte`
+    /// does not depend on the unit), so one flag covers them all.
+    num_in_token: bool,
+    /// Scratch: the number bank's product state per bank inside the SWAR
+    /// loop.
+    num_bank_state: Vec<usize>,
     sub1_counter: Vec<u32>,
     subp_win: Vec<u64>,
     subp_counter: Vec<u32>,
@@ -956,6 +965,14 @@ impl Engine {
         } else {
             Vec::new()
         };
+        let number_bank = block_ready.then(|| {
+            let units = NumberUnits {
+                tables: &b.tables,
+                off: &b.num_off,
+                start: &b.num_start,
+            };
+            NumberBank::build(&units, |unit, _| 1u64 << b.num_node[unit])
+        });
 
         let sub1_targets_packed = pair::pack_targets(&b.sub1_target);
         let engine = Engine {
@@ -971,7 +988,8 @@ impl Engine {
             sdfa_start: b.sdfa_start,
             sdfa_node: b.sdfa_node,
             num_state: b.num_start.clone(),
-            num_in_token: vec![false; b.num_off.len()],
+            num_in_token: false,
+            num_bank_state: vec![0; number_bank.as_ref().map_or(0, NumberBank::len)],
             num_off: b.num_off,
             num_start: b.num_start,
             num_node: b.num_node,
@@ -988,6 +1006,7 @@ impl Engine {
             sub1_hits,
             sub1_targets_packed,
             pair: pair_bank,
+            numbers: number_bank,
             stats: EngineStats::default(),
             latch: vec![0; words],
             prev: vec![0; words],
@@ -1051,6 +1070,13 @@ impl Engine {
         self.pair.as_ref().map(PairBank::view)
     }
 
+    /// Snapshots the number bank of the number-range units (fire words in
+    /// latch bits) for static verification; `None` unless
+    /// [`Engine::block_scan_ready`].
+    pub fn number_bank_view(&self) -> Option<NumberBankView> {
+        self.numbers.as_ref().map(NumberBank::view)
+    }
+
     /// Number of nodes in the flat program (primitives + combinators).
     pub fn num_nodes(&self) -> usize {
         self.root as usize + 1
@@ -1110,22 +1136,23 @@ impl Engine {
                 Self::set_bit(&mut self.latch, self.sdfa_node[i]);
             }
         }
-        let num_byte = is_number_byte(byte);
-        for i in 0..self.num_state.len() {
-            if num_byte {
+        if is_number_byte(byte) {
+            for i in 0..self.num_state.len() {
                 let s = self.num_state[i];
                 self.num_state[i] = self.tables
                     [self.num_off[i] as usize + (s & STATE_MASK) as usize * 256 + byte as usize];
-                self.num_in_token[i] = true;
-            } else if self.num_in_token[i] {
-                // Token boundary: the automaton is evaluated, then rearmed.
-                // (Outside tokens the state already sits at start.)
+            }
+            self.num_in_token = true;
+        } else if self.num_in_token {
+            // Token boundary: every automaton is evaluated, then rearmed.
+            // (Outside tokens the states already sit at start.)
+            for i in 0..self.num_state.len() {
                 if self.num_state[i] & DENSE_ACCEPT_BIT != 0 {
                     Self::set_bit(&mut self.latch, self.num_node[i]);
                 }
                 self.num_state[i] = self.num_start[i];
-                self.num_in_token[i] = false;
             }
+            self.num_in_token = false;
         }
         for i in 0..self.sub1_counter.len() {
             let hit = self.sub1_bitmap[i * 4 + (byte >> 6) as usize] & (1u64 << (byte & 63)) != 0;
@@ -1212,7 +1239,7 @@ impl Engine {
         self.flag_level.fill(0);
         self.sdfa_state.copy_from_slice(&self.sdfa_start);
         self.num_state.copy_from_slice(&self.num_start);
-        self.num_in_token.fill(false);
+        self.num_in_token = false;
         self.sub1_counter.fill(0);
         self.subp_win.fill(0);
         self.subp_counter.fill(0);
@@ -1238,9 +1265,10 @@ impl Engine {
     ///
     /// Eligible programs ([`Engine::block_scan_ready`]) run the SWAR word
     /// loop: per-word classification and string-mask resolution, packed
-    /// sub1 counters, the pair bank for the packed substring units, gated
-    /// number-DFA stepping, and the node program only on bytes where a
-    /// fire signal or an unmasked close/comma makes it observable.
+    /// sub1 counters, the pair bank for the packed substring units, the
+    /// number bank for the number units, and the node program only on
+    /// bytes where a fire signal or an unmasked close/comma makes it
+    /// observable.
     pub fn on_block(&mut self, block: &[u8]) -> bool {
         self.stats.records += 1;
         if self.block_ready {
@@ -1265,9 +1293,13 @@ impl Engine {
         let nsub1 = self.sub1_node.len();
         let mut c1 = pair::pack_counters(&self.sub1_counter);
         let mut cp = pair::pack_counters(&self.subp_counter);
-        // All number units share one token trajectory (`is_number_byte`
-        // does not depend on the unit), so a single flag suffices.
-        let mut in_token = self.num_in_token.first().is_some_and(|&t| t);
+        let mut in_token = self.num_in_token;
+        let nums = self
+            .numbers
+            .as_ref()
+            .expect("block-ready programs have a number bank");
+        let mut ns = std::mem::take(&mut self.num_bank_state);
+        nums.enter(&self.num_state, in_token, &mut ns);
         // The packed windows are the same shift register under nested
         // masks; OR-ing them reconstructs the widest (full) window.
         let mut win64 = 0u64;
@@ -1323,21 +1355,12 @@ impl Engine {
                         fires |= 1u64 << self.subp_node[i];
                     });
                 }
-                if is_number_byte(byte) {
-                    for i in 0..self.num_state.len() {
-                        let s = self.num_state[i];
-                        self.num_state[i] = self.tables[self.num_off[i] as usize
-                            + (s & STATE_MASK) as usize * 256
-                            + byte as usize];
-                    }
+                let class = nums.class(byte);
+                if class != numbers::NONE {
+                    nums.step(&mut ns, class);
                     in_token = true;
                 } else if in_token {
-                    for i in 0..self.num_state.len() {
-                        if self.num_state[i] & DENSE_ACCEPT_BIT != 0 {
-                            fires |= 1u64 << self.num_node[i];
-                        }
-                        self.num_state[i] = self.num_start[i];
-                    }
+                    nums.end_token(&mut ns, |_, word| fires |= word);
                     in_token = false;
                 }
                 for i in 0..self.sdfa_state.len() {
@@ -1395,7 +1418,9 @@ impl Engine {
         for i in 0..nsubp {
             self.subp_win[i] = win64 & self.subp.win_mask[i];
         }
-        self.num_in_token.fill(in_token);
+        self.num_in_token = in_token;
+        nums.exit(&ns, &mut self.num_state);
+        self.num_bank_state = ns;
         self.tracker.restore(in_string, pending_escape, depth);
     }
 }

@@ -82,6 +82,7 @@ pub mod evaluator;
 pub mod expr;
 mod metrics;
 pub mod multi;
+pub mod numbers;
 pub mod pair;
 pub mod primitive;
 pub mod query;

@@ -55,6 +55,7 @@ use crate::engine::{
 };
 use crate::evaluator::StreamTracker;
 use crate::expr::Expr;
+use crate::numbers::{self, NumberBank, NumberBankView, NumberUnits};
 use crate::pair::{self, PackedUnits, PairBank, PairBankView};
 use crate::primitive::{FireFilter, SubstringMatcher};
 use rfjson_jsonstream::frame::{
@@ -259,6 +260,9 @@ pub struct MultiEngine {
     /// Pair bank of the pooled packed substring units; `None` unless
     /// `block_ready`.
     pair: Option<PairBank>,
+    /// Number bank of the pooled number units, fire words in bank-lane
+    /// bits; `None` unless `block_ready`.
+    numbers: Option<NumberBank>,
 
     // ---- mutable per-stream state ----
     /// Telemetry accumulated in plain locals on the hot path and flushed
@@ -269,6 +273,9 @@ pub struct MultiEngine {
     /// All number units share one token trajectory, so one flag covers
     /// the whole pool.
     num_in_token: bool,
+    /// Scratch: the number bank's product state per bank inside the SWAR
+    /// loop.
+    num_bank_state: Vec<usize>,
     sub1_counter: Vec<u32>,
     subp_win: Vec<u64>,
     subp_counter: Vec<u32>,
@@ -356,10 +363,12 @@ impl MultiEngine {
             sub1_targets_packed: Vec::new(),
             sub1_any: [0; 4],
             pair: None,
+            numbers: None,
             stats: MultiStats::default(),
             sdfa_state: Vec::new(),
             num_state: Vec::new(),
             num_in_token: false,
+            num_bank_state: Vec::new(),
             sub1_counter: Vec::new(),
             subp_win: Vec::new(),
             subp_counter: Vec::new(),
@@ -582,6 +591,14 @@ impl MultiEngine {
             }
         }
         self.sub1_targets_packed = pair::pack_targets(&self.sub1_target);
+        let units = NumberUnits {
+            tables: &self.tables,
+            off: &self.num_off,
+            start: &self.num_start,
+        };
+        let bank = NumberBank::build(&units, |_, lane| 1u64 << lane);
+        self.num_bank_state = vec![0; bank.len()];
+        self.numbers = Some(bank);
     }
 
     /// The batch's source expressions, in lane order.
@@ -613,6 +630,13 @@ impl MultiEngine {
     /// [`MultiEngine::block_scan_ready`].
     pub fn pair_bank_view(&self) -> Option<PairBankView> {
         self.pair.as_ref().map(PairBank::view)
+    }
+
+    /// Snapshots the number bank of the pooled number units, in pool
+    /// order (fire words in bank-lane bits), for static verification;
+    /// `None` unless [`MultiEngine::block_scan_ready`].
+    pub fn number_bank_view(&self) -> Option<NumberBankView> {
+        self.numbers.as_ref().map(NumberBank::view)
     }
 
     /// Per-lane program snapshots for static verification. Each view's
@@ -763,9 +787,9 @@ impl MultiEngine {
 
     /// The SWAR word loop: one classification and string-mask resolution
     /// per 8-byte word shared by every lane, banked packed sub1
-    /// counters, the pair bank for the packed substring units, gated
-    /// number-DFA stepping, and per-lane programs run only on bytes where
-    /// that lane observes a fire or (for context lanes) an unmasked
+    /// counters, the pair bank for the packed substring units, the number
+    /// bank for the number units, and per-lane programs run only on bytes
+    /// where that lane observes a fire or (for context lanes) an unmasked
     /// close/comma.
     fn on_block_swar(&mut self, block: &[u8]) {
         let (mut in_string, mut pending_escape, mut depth) = self.tracker.state();
@@ -774,6 +798,12 @@ impl MultiEngine {
         let mut c1 = pair::pack_counters(&self.sub1_counter);
         let mut cp = pair::pack_counters(&self.subp_counter);
         let mut in_token = self.num_in_token;
+        let nums = self
+            .numbers
+            .as_ref()
+            .expect("block-ready batches have a number bank");
+        let mut ns = std::mem::take(&mut self.num_bank_state);
+        nums.enter(&self.num_state, in_token, &mut ns);
         // The packed windows are one shift register under nested masks.
         let mut win64 = 0u64;
         for w in &self.subp_win {
@@ -850,24 +880,21 @@ impl MultiEngine {
                     });
                     subp_skips += u64::from(!looked_up);
                 }
-                if is_number_byte(byte) {
-                    for i in 0..self.num_state.len() {
-                        let s = self.num_state[i];
-                        self.num_state[i] = self.tables[self.num_off[i] as usize
-                            + (s & STATE_MASK) as usize * 256
-                            + byte as usize];
-                    }
-                    in_token = !self.num_state.is_empty();
+                let class = nums.class(byte);
+                if class != numbers::NONE {
+                    nums.step(&mut ns, class);
+                    in_token = !ns.is_empty();
                 } else if in_token {
-                    for i in 0..self.num_state.len() {
-                        if self.num_state[i] & DENSE_ACCEPT_BIT != 0 {
-                            for sub in &self.num_subs[i] {
+                    nums.end_token(&mut ns, |first_unit, mut word| {
+                        while word != 0 {
+                            let unit = first_unit + word.trailing_zeros() as usize;
+                            word &= word - 1;
+                            for sub in &self.num_subs[unit] {
                                 self.lane_fires[sub.lane as usize] |= 1u64 << sub.node;
                             }
-                            fired = true;
                         }
-                        self.num_state[i] = self.num_start[i];
-                    }
+                        fired = true;
+                    });
                     in_token = false;
                 }
                 for i in 0..self.sdfa_state.len() {
@@ -934,6 +961,8 @@ impl MultiEngine {
             self.subp_win[i] = win64 & self.subp.win_mask[i];
         }
         self.num_in_token = in_token;
+        nums.exit(&ns, &mut self.num_state);
+        self.num_bank_state = ns;
         self.stats.sub1_gate_skips += sub1_skips;
         self.stats.subp_gate_skips += subp_skips;
         self.tracker.restore(in_string, pending_escape, depth);

@@ -19,7 +19,8 @@
 //!   unit keys re-derived from the primitives, never from the compiled
 //!   plan), and the per-query censuses must sum to the batch total;
 //! * the pool's pair bank is re-derived from the blocks of the distinct
-//!   packed substring units, in pool (first-seen) order.
+//!   packed substring units, and its number bank from the dense tables
+//!   of the distinct number units, both in pool (first-seen) order.
 //!
 //! ## Diagnostic catalogue
 //!
@@ -30,8 +31,11 @@
 //! | M002 | error    | a lane's census or pool-stored table disagrees with its expression |
 //! | M003 | error    | pool dedup census disagrees with independent recomputation |
 //! | M004 | error    | pool pair bank disagrees with fresh derivation from the packed units' blocks |
+//! | M005 | error    | pool number bank disagrees with fresh derivation from the number units' dense tables |
 
-use crate::program::{check_pair_bank, check_unit, collect_expected, ExpectedUnits};
+use crate::program::{
+    check_number_bank, check_pair_bank, check_unit, collect_expected, ExpectedUnits, NumberUnit,
+};
 use crate::{Diagnostic, Layer, Report};
 use rfjson_core::backend::CompileError;
 use rfjson_core::expr::{Expr, StringTechnique};
@@ -148,8 +152,9 @@ fn dedup_census(keys: &[FreshKey]) -> UnitCounts {
 
 /// Verifies a compiled fused batch: per-lane structural invariants
 /// (M001), per-lane census + pool-table agreement with each lane's
-/// source expression (M002), and the pool dedup census against an
-/// independent recomputation from the source expressions (M003).
+/// source expression (M002), the pool dedup census against an
+/// independent recomputation from the source expressions (M003), and
+/// the pool's pair (M004) and number (M005) banks.
 pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let stats = fused.share_stats();
@@ -166,9 +171,10 @@ pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
         ),
     ));
 
-    // Distinct packed substring units in first-seen order: the pool order
-    // the pair bank's lanes follow.
+    // Distinct packed substring and number units in first-seen order: the
+    // pool order the pair and number banks follow.
     let mut pool_packed = Vec::new();
+    let mut pool_numbers = Vec::new();
     for (q, (view, expr)) in fused.lane_views().iter().zip(fused.exprs()).enumerate() {
         for fault in view.check() {
             out.push(Diagnostic::error(
@@ -219,6 +225,12 @@ pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
                 pool_packed.push(unit);
             }
         }
+        for dfa in &exp.number_dfas {
+            let unit = NumberUnit::of(dfa);
+            if !pool_numbers.contains(&unit) {
+                pool_numbers.push(unit);
+            }
+        }
     }
     if let Some(bank) = fused.pair_bank_view() {
         for fault in check_pair_bank(&bank, &pool_packed) {
@@ -226,6 +238,16 @@ pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
                 Layer::Program,
                 "M004",
                 "pair bank",
+                fault,
+            ));
+        }
+    }
+    if let Some(bank) = fused.number_bank_view() {
+        for fault in check_number_bank(&bank, &pool_numbers, |_, lane| 1u64 << lane) {
+            out.push(Diagnostic::error(
+                Layer::Program,
+                "M005",
+                "number bank",
                 fault,
             ));
         }

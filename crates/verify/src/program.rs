@@ -29,14 +29,17 @@
 //! | P021 | error    | stored dense table offset out of range |
 //! | P022 | error    | stored dense table or start disagrees with fresh derivation |
 //! | P023 | error    | stored pair bank disagrees with fresh derivation from the packed units' blocks |
+//! | P024 | error    | stored number bank disagrees with fresh derivation from the number units' dense tables |
 
 use crate::{Diagnostic, Layer};
 use rfjson_core::engine::{DfaUnitView, ProgramFault, ProgramView};
 use rfjson_core::expr::{Expr, StringTechnique};
+use rfjson_core::numbers::{NumberBankView, MAX_STATES, MAX_UNITS, NONE, STRIDE};
 use rfjson_core::pair::{PairBankView, LANES};
 use rfjson_core::primitive::{DfaStringMatcher, SubstringMatcher};
 use rfjson_core::Engine;
-use rfjson_redfa::Dfa;
+use rfjson_redfa::range::is_number_byte;
+use rfjson_redfa::{Dfa, DENSE_ACCEPT_BIT};
 use std::collections::HashSet;
 
 /// Maps one [`ProgramFault`] to its diagnostic.
@@ -199,6 +202,155 @@ pub fn check_pair_bank(bank: &PairBankView, units: &[PackedUnit]) -> Vec<String>
     faults
 }
 
+/// A number unit freshly derived from its source range: what a number
+/// bank must step.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct NumberUnit {
+    /// Dense transition table ([`Dfa::dense_table`]).
+    pub table: Vec<u16>,
+    /// Dense start word ([`Dfa::dense_start`]).
+    pub start: u16,
+}
+
+impl NumberUnit {
+    /// The unit of a freshly derived number automaton.
+    pub fn of(dfa: &Dfa) -> NumberUnit {
+        NumberUnit {
+            table: dfa.dense_table(),
+            start: dfa.dense_start(),
+        }
+    }
+
+    /// The successor of dense state word `state` on `byte`; `None` when
+    /// the word's state index is out of range.
+    fn step(&self, state: u16, byte: u8) -> Option<u16> {
+        let row = usize::from(state & !DENSE_ACCEPT_BIT) * 256;
+        self.table.get(row + usize::from(byte)).copied()
+    }
+}
+
+/// The number units of `expr`, in the compiler's visit order.
+pub fn number_units(expr: &Expr) -> Vec<NumberUnit> {
+    let mut exp = ExpectedUnits::default();
+    collect_expected(expr, &mut exp);
+    exp.number_dfas.iter().map(NumberUnit::of).collect()
+}
+
+/// Re-derives the number bank of `units` (in unit order) and returns
+/// every way `bank` disagrees with it. `fire_bit(unit, lane)` is the bit
+/// the unit contributes to a fire word. The derivation is independent of
+/// the compiler's state numbering: the class map must give the 15 number
+/// bytes distinct classes below [`NONE`] and every other byte [`NONE`];
+/// the banks must cover the units in order, at most [`MAX_UNITS`] each
+/// and [`MAX_STATES`] states unless a single unit; in each bank, state 0
+/// must hold the start tuple, tuples must be distinct, every number
+/// byte's transition must lead to the tuple the units' own tables step
+/// to, the unused row entry must be 0, and every fire word must hold
+/// exactly the bits of the units whose state word accepts.
+pub fn check_number_bank(
+    bank: &NumberBankView,
+    units: &[NumberUnit],
+    fire_bit: impl Fn(usize, usize) -> u64,
+) -> Vec<String> {
+    if bank.class.len() != 256 {
+        return vec![format!("class map has {} entries", bank.class.len())];
+    }
+    let mut faults = Vec::new();
+    let mut taken = [false; NONE as usize];
+    for (byte, &class) in bank.class.iter().enumerate() {
+        let number = is_number_byte(byte as u8);
+        let fits = if number {
+            class < NONE && !std::mem::replace(&mut taken[usize::from(class)], true)
+        } else {
+            class == NONE
+        };
+        if !fits {
+            faults.push(format!("byte 0x{byte:02x} has class {class}"));
+        }
+    }
+    let number_bytes: Vec<(u8, usize)> = (0..=255u8)
+        .filter(|&b| is_number_byte(b) && bank.class[usize::from(b)] < NONE)
+        .map(|b| (b, usize::from(bank.class[usize::from(b)])))
+        .collect();
+    let mut covered = 0;
+    for (k, p) in bank.banks.iter().enumerate() {
+        let states = p.fire.len();
+        if p.first_unit != covered
+            || p.units == 0
+            || p.units > MAX_UNITS
+            || p.first_unit + p.units > units.len()
+        {
+            faults.push(format!(
+                "bank {k} holds units {}..{} after unit {covered} of {}",
+                p.first_unit,
+                p.first_unit + p.units,
+                units.len()
+            ));
+            return faults;
+        }
+        covered += p.units;
+        if states == 0 || p.next.len() != states * STRIDE || p.tuples.len() != states * p.units {
+            faults.push(format!(
+                "bank {k} shape ({states} fire words, {} next entries, {} tuple words) \
+                 does not fit {} units",
+                p.next.len(),
+                p.tuples.len(),
+                p.units
+            ));
+            continue;
+        }
+        if p.units > 1 && states > MAX_STATES {
+            faults.push(format!("bank {k} has {states} states, above the cap"));
+        }
+        let lanes = &units[p.first_unit..p.first_unit + p.units];
+        let tuple = |s: usize| &p.tuples[s * p.units..(s + 1) * p.units];
+        let start: Vec<u16> = lanes.iter().map(|u| u.start).collect();
+        if tuple(0) != start.as_slice() {
+            faults.push(format!("bank {k} state 0 is not the start tuple"));
+        }
+        let mut distinct = HashSet::new();
+        let mut succ = vec![0u16; p.units];
+        for s in 0..states {
+            if !distinct.insert(tuple(s)) {
+                faults.push(format!("bank {k} state {s} repeats an earlier tuple"));
+            }
+            let mut fire = 0u64;
+            for (lane, &w) in tuple(s).iter().enumerate() {
+                if w & DENSE_ACCEPT_BIT != 0 {
+                    fire |= fire_bit(p.first_unit + lane, lane);
+                }
+            }
+            if p.fire[s] != fire {
+                faults.push(format!(
+                    "bank {k} state {s} fires 0x{:016x}, derived 0x{fire:016x}",
+                    p.fire[s]
+                ));
+            }
+            for &(byte, class) in &number_bytes {
+                let t = usize::from(p.next[s * STRIDE + class]);
+                let stepped = lanes
+                    .iter()
+                    .zip(tuple(s))
+                    .zip(succ.iter_mut())
+                    .all(|((u, &w), out)| u.step(w, byte).map(|n| *out = n).is_some());
+                if !stepped || t >= states || tuple(t) != succ.as_slice() {
+                    faults.push(format!(
+                        "bank {k} state {s} on {:?} leads to state {t}, not the stepped tuple",
+                        byte as char
+                    ));
+                }
+            }
+            if p.next[s * STRIDE + STRIDE - 1] != 0 {
+                faults.push(format!("bank {k} state {s} has a nonzero unused entry"));
+            }
+        }
+    }
+    if covered != units.len() {
+        faults.push(format!("banks cover {covered} of {} units", units.len()));
+    }
+    faults
+}
+
 pub(crate) fn collect_expected(expr: &Expr, exp: &mut ExpectedUnits) {
     match expr {
         Expr::Str(spec) => match spec.technique {
@@ -317,6 +469,19 @@ pub fn verify_engine(engine: &Engine) -> Vec<Diagnostic> {
                 Layer::Program,
                 "P023",
                 "pair bank",
+                fault,
+            ));
+        }
+    }
+    if let Some(bank) = engine.number_bank_view() {
+        let units = number_units(engine.expr());
+        let nodes: Vec<u32> = view.number_dfas.iter().map(|u| u.node).collect();
+        let fire_bit = |unit: usize, _| nodes.get(unit).map_or(0, |&n| 1u64 << (n % 64));
+        for fault in check_number_bank(&bank, &units, fire_bit) {
+            out.push(Diagnostic::error(
+                Layer::Program,
+                "P024",
+                "number bank",
                 fault,
             ));
         }

@@ -9,11 +9,15 @@
 
 use proptest::prelude::*;
 use rfjson_core::engine::OpKindView;
+use rfjson_core::multi::MultiEngine;
+use rfjson_core::numbers::NumberBankView;
 use rfjson_core::query::query_to_exprs;
 use rfjson_core::{Engine, Expr, StructScope};
 use rfjson_redfa::DENSE_ACCEPT_BIT;
 use rfjson_riotbench::Query;
 use rfjson_rtl::Netlist;
+use rfjson_verify::multi::verify_multi_engine;
+use rfjson_verify::program::NumberUnit;
 use rfjson_verify::{dfa, netlist, program, verify_expr, verify_query, Severity};
 
 /// Expressions covering every primitive technique, every combinator,
@@ -277,4 +281,84 @@ fn mutation_flipped_pair_bank_lane_bit_is_flagged() {
             "flipping bit {bit} of entry {entry} went unnoticed"
         );
     }
+}
+
+/// Flips `flips` random single bits of `view`'s transitions and fire
+/// words, each in a fresh copy, and asserts `check` flags every one.
+fn assert_number_bank_flips_flagged(
+    view: &NumberBankView,
+    flips: usize,
+    check: impl Fn(&NumberBankView) -> Vec<String>,
+) {
+    assert!(check(view).is_empty(), "{:?}", check(view));
+    let mut state = 0x5eed_u64;
+    for _ in 0..flips {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let k = (state >> 8) as usize % view.banks.len();
+        let bank = &view.banks[k];
+        let mut mutated = view.clone();
+        let what = if state >> 63 == 0 {
+            let entry = (state >> 16) as usize % bank.next.len();
+            let bit = (state >> 48) as u32 % 16;
+            mutated.banks[k].next[entry] ^= 1u16 << bit;
+            format!("bit {bit} of transition {entry}")
+        } else {
+            let entry = (state >> 16) as usize % bank.fire.len();
+            let bit = (state >> 48) as u32 % 64;
+            mutated.banks[k].fire[entry] ^= 1u64 << bit;
+            format!("bit {bit} of fire word {entry}")
+        };
+        assert!(
+            !check(&mutated).is_empty(),
+            "flipping {what} of bank {k} went unnoticed"
+        );
+    }
+}
+
+/// Mutation class 5 — one bit of a stored number-bank transition or fire
+/// word flipped: a number token would end in the wrong product state, or
+/// fire (or miss) a unit its automaton does not (or does) accept. Every
+/// flip, in a single engine's bank and in a fused pool split over two
+/// banks, must be caught by the re-derivation from the units' tables.
+#[test]
+fn mutation_flipped_number_bank_bit_is_flagged() {
+    let expr = query_to_exprs(&Query::qs0(), 1).unwrap();
+    let engine = Engine::compile(&expr);
+    assert!(program::verify_engine(&engine)
+        .iter()
+        .all(|d| d.severity < Severity::Error));
+    let units = program::number_units(&expr);
+    let nodes: Vec<u32> = engine
+        .program_view()
+        .number_dfas
+        .iter()
+        .map(|u| u.node)
+        .collect();
+    let view = engine.number_bank_view().expect("QS0 is block-ready");
+    assert_number_bank_flips_flagged(&view, 512, |v| {
+        program::check_number_bank(v, &units, |unit, _| 1u64 << nodes[unit])
+    });
+
+    // 70 distinct ranges: more than one bank's worth of units.
+    let batch: Vec<Expr> = (0..70i64)
+        .map(|i| Expr::int_range(i * 37 - 400, i * i * 11 + 3))
+        .collect();
+    let fused = MultiEngine::compile_batch(&batch);
+    assert!(verify_multi_engine(&fused)
+        .iter()
+        .all(|d| d.severity < Severity::Error));
+    // Pool order: distinct units, first seen first.
+    let mut units: Vec<NumberUnit> = Vec::new();
+    for unit in batch.iter().flat_map(program::number_units) {
+        if !units.contains(&unit) {
+            units.push(unit);
+        }
+    }
+    let view = fused.number_bank_view().expect("the batch is block-ready");
+    assert!(view.banks.len() >= 2, "70 units need two banks");
+    assert_number_bank_flips_flagged(&view, 128, |v| {
+        program::check_number_bank(v, &units, |_, lane| 1u64 << lane)
+    });
 }

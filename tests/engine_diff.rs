@@ -11,6 +11,7 @@ use rfjson_core::expr::{Expr, StructScope};
 use rfjson_core::query::query_to_exprs;
 use rfjson_core::FilterBackend;
 use rfjson_riotbench::{smartcity, taxi, twitter, Query};
+use std::sync::OnceLock;
 
 /// Steps both execution paths over `record + '\n'` and asserts the accept
 /// signal matches on **every byte**.
@@ -296,8 +297,20 @@ fn assert_every_seam(expr: &Expr, record: &[u8]) {
 /// alternately through `on_block` and `on_byte`; the latched accept must
 /// track the model's at every piece end and every serial byte.
 fn assert_interleaved(expr: &Expr, record: &[u8], cuts: &[usize]) {
-    let trace = model_trace(expr, record);
-    let mut engine = Engine::compile(expr);
+    let mut model = CompiledFilter::compile(expr);
+    assert_interleaved_on(&mut Engine::compile(expr), &mut model, record, cuts);
+}
+
+/// [`assert_interleaved`] for an already compiled engine and model.
+fn assert_interleaved_on(
+    engine: &mut Engine,
+    model: &mut CompiledFilter,
+    record: &[u8],
+    cuts: &[usize],
+) {
+    let expr = engine.expr().clone();
+    model.reset();
+    let trace: Vec<bool> = record.iter().map(|&b| model.on_byte(b)).collect();
     engine.reset();
     let mut at = 0;
     for (i, &cut) in cuts.iter().cycle().enumerate() {
@@ -480,5 +493,142 @@ proptest! {
         let expr = &zoo[expr_idx % zoo.len()];
         assert_interleaved(expr, &record, &cuts);
         assert_blockwise(expr, &record);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Number bank: the block-scan form of the number-range units (one
+// product-automaton lookup per number byte for all units at once).
+// ---------------------------------------------------------------------
+
+/// Twenty negative and twenty positive float ranges, an OR of each
+/// ANDed: the product passes the state cap, so the number units split
+/// into two banks along the OR boundary, and a record matches only when
+/// both banks fire.
+fn split_number_expr() -> Expr {
+    let mut x = 0x5eed_u64;
+    let mut next = move || {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        x >> 33
+    };
+    let mut range = |negative: bool| {
+        let a = next() % 100_000;
+        let b = a + next() % 100_000;
+        let (near, far) = (
+            format!("{}.{:03}", a / 1000, a % 1000),
+            format!("{}.{:02}", b / 100, b % 100),
+        );
+        if negative {
+            Expr::float_range(&format!("-{far}"), &format!("-{near}")).unwrap()
+        } else {
+            Expr::float_range(&near, &far).unwrap()
+        }
+    };
+    let negative: Vec<Expr> = (0..20).map(|_| range(true)).collect();
+    let positive: Vec<Expr> = (0..20).map(|_| range(false)).collect();
+    Expr::and([Expr::or(negative), Expr::or(positive)])
+}
+
+/// The split engine and its model, compiled once: forty float automata
+/// take a while to build in a debug build.
+fn split_number_filters() -> &'static (Engine, CompiledFilter) {
+    static FILTERS: OnceLock<(Engine, CompiledFilter)> = OnceLock::new();
+    FILTERS.get_or_init(|| {
+        let expr = split_number_expr();
+        (Engine::compile(&expr), CompiledFilter::compile(&expr))
+    })
+}
+
+/// Number units of every kind the bank serves: negative bounds, zero, a
+/// number next to a key, and QS0's five ranges.
+fn number_zoo() -> Vec<Expr> {
+    vec![
+        Expr::int_range(-50, 7),
+        Expr::float_range("-12.5", "43.1").unwrap(),
+        Expr::and([
+            Expr::int_range(0, 0),
+            Expr::float_range("100", "2500.5").unwrap(),
+            Expr::int_range(100, 50_000),
+        ]),
+        Expr::context_scoped(
+            StructScope::Member,
+            [
+                Expr::substring(b"temperature", 1).unwrap(),
+                Expr::float_range("0.7", "35.1").unwrap(),
+            ],
+        ),
+        query_to_exprs(&Query::qs0(), 1).unwrap(),
+    ]
+}
+
+/// Number tokens with negatives, exponents, leading zeros, stray signs
+/// and dots, and bare `e`/`E` inside words.
+const NUMBER_RECORDS: &[&[u8]] = &[
+    br#"{"e":[{"v":"35.2","u":"far","n":"temperature"},{"v":"-12","n":"dust"}],"bt":1422748800000}"#,
+    br#"{"v":007,"w":-0.5e+3,"x":1E-2,"y":-.5,"z":+3,"q":--1,"r":1..2,"s":2e}"#,
+    br#"{"temperature":21.0,"eEe":1e1E1,"Ee":"e-1","n":"Temperature"}"#,
+    b"[15,99,-50,7,0,00,0.0,-0,43.1,43.10,43.11,1e2,2.5e3,2500,2501]",
+    b"1234567890.0987654321e+-",
+    b"-",
+    b"",
+];
+
+#[test]
+fn number_bank_equals_model_at_every_seam() {
+    for expr in number_zoo() {
+        let engine = Engine::compile(&expr);
+        assert!(engine.block_scan_ready(), "`{expr}`");
+        assert!(engine.number_bank_view().is_some(), "`{expr}`");
+        for record in NUMBER_RECORDS {
+            assert_every_seam(&expr, record);
+            assert_interleaved(&expr, record, &[9, 3, 8, 1, 16, 5]);
+            assert_interleaved(&expr, record, &[1, 1, 7]);
+        }
+        for record in smartcity::generate(94, 6).records() {
+            assert_every_seam(&expr, record);
+        }
+    }
+    let (split, model) = split_number_filters();
+    let banks = split.number_bank_view().expect("block-ready").banks;
+    assert_eq!(banks.len(), 2, "forty float ranges pass the state cap");
+    assert!(banks
+        .iter()
+        .all(|b| b.units == 20 && b.fire.len() <= rfjson_core::numbers::MAX_STATES));
+    let all = NUMBER_RECORDS.join(&b',');
+    assert!(model.clone().accepts_record(&all), "both banks must fire");
+    assert_every_seam(split.expr(), &all);
+    for cuts in [&[9, 3, 8, 1, 16, 5][..], &[1, 1, 7]] {
+        assert_interleaved_on(&mut split.clone(), &mut model.clone(), &all, cuts);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random soup of number tokens and structure, cut at random piece
+    /// lengths: the number bank must track the model, including blocks
+    /// that start mid-token.
+    #[test]
+    fn number_bank_equals_model_on_number_soup(
+        picks in proptest::collection::vec(0usize..22, 0..64),
+        cuts in proptest::collection::vec(1usize..12, 1..6),
+        expr_idx in 0usize..6,
+    ) {
+        const TOKENS: [&[u8]; 22] = [
+            b"-", b"+", b".", b"e", b"E", b"0", b"7", b"12", b"007", b"35.2",
+            b"1e5", b"-3.5E-2", b"43.1", b"temperature", b"Ee", b",", b"\"",
+            b":", b"{", b"}", b" ", b"[",
+        ];
+        let record: Vec<u8> = picks.iter().flat_map(|&p| TOKENS[p].iter().copied()).collect();
+        let zoo = number_zoo();
+        if let Some(expr) = zoo.get(expr_idx) {
+            assert_interleaved(expr, &record, &cuts);
+            assert_blockwise(expr, &record);
+        } else {
+            let (split, model) = split_number_filters();
+            assert_interleaved_on(&mut split.clone(), &mut model.clone(), &record, &cuts);
+        }
     }
 }

@@ -7,12 +7,13 @@
 use proptest::prelude::*;
 use rfjson_core::multi::{MultiBackend, MultiEngine, MultiLanes};
 use rfjson_core::query::query_to_exprs;
-use rfjson_core::{Engine, Expr, FilterBackend, IngestLimits, StructScope};
+use rfjson_core::{CompiledFilter, Engine, Expr, FilterBackend, IngestLimits, StructScope};
 use rfjson_riotbench::{smartcity, taxi, twitter, Query};
 use rfjson_runtime::fault::{
     silence_injected_panics, FaultKind, FaultPlan, FaultyBackend, Trigger,
 };
 use rfjson_runtime::MultiShardedRunner;
+use std::sync::OnceLock;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
@@ -335,15 +336,15 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Pooled pair bank, checked against one CompiledFilter model per lane.
+// Pooled pair and number banks, checked against one CompiledFilter model
+// per lane.
 // ---------------------------------------------------------------------
 
 /// Every lane's model accept after every byte of `record`.
-fn model_traces(exprs: &[Expr], record: &[u8]) -> Vec<Vec<bool>> {
-    exprs
-        .iter()
-        .map(|expr| {
-            let mut model = rfjson_core::CompiledFilter::compile(expr);
+fn model_traces(models: &mut [CompiledFilter], record: &[u8]) -> Vec<Vec<bool>> {
+    models
+        .iter_mut()
+        .map(|model| {
             model.reset();
             record.iter().map(|&b| model.on_byte(b)).collect()
         })
@@ -364,14 +365,25 @@ fn assert_lanes_at(fused: &MultiEngine, traces: &[Vec<bool>], at: usize, what: &
 /// it into pieces fed alternately through `on_block` and `on_byte`; every
 /// lane must track its model at every block end and serial byte.
 fn assert_pair_bank_lanes(exprs: &[Expr], record: &[u8], cuts: &[usize]) {
-    let traces = model_traces(exprs, record);
+    let mut models: Vec<CompiledFilter> = exprs.iter().map(CompiledFilter::compile).collect();
     let mut fused = MultiEngine::compile_batch(exprs);
+    assert_lanes_track_models(&mut fused, &mut models, record, cuts);
+}
+
+/// [`assert_pair_bank_lanes`] for an already compiled batch and models.
+fn assert_lanes_track_models(
+    fused: &mut MultiEngine,
+    models: &mut [CompiledFilter],
+    record: &[u8],
+    cuts: &[usize],
+) {
+    let traces = model_traces(models, record);
     for split in 1..record.len() {
         fused.reset();
         fused.on_block(&record[..split]);
-        assert_lanes_at(&fused, &traces, split - 1, "first block");
+        assert_lanes_at(fused, &traces, split - 1, "first block");
         fused.on_block(&record[split..]);
-        assert_lanes_at(&fused, &traces, record.len() - 1, "second block");
+        assert_lanes_at(fused, &traces, record.len() - 1, "second block");
     }
     fused.reset();
     let mut at = 0;
@@ -382,11 +394,11 @@ fn assert_pair_bank_lanes(exprs: &[Expr], record: &[u8], cuts: &[usize]) {
         let end = (at + cut.max(1)).min(record.len());
         if i % 2 == 0 {
             fused.on_block(&record[at..end]);
-            assert_lanes_at(&fused, &traces, end - 1, "interleaved block");
+            assert_lanes_at(fused, &traces, end - 1, "interleaved block");
         } else {
             for (j, &b) in record.iter().enumerate().take(end).skip(at) {
                 fused.on_byte(b);
-                assert_lanes_at(&fused, &traces, j, "interleaved byte");
+                assert_lanes_at(fused, &traces, j, "interleaved byte");
             }
         }
         at = end;
@@ -499,5 +511,118 @@ proptest! {
         const ALPHABET: &[u8] = b"tolls_amountfare_tip\"{},:5\xe1\xf4";
         let record: Vec<u8> = picks.iter().map(|&p| ALPHABET[p]).collect();
         assert_pair_bank_lanes(&packed_batch(), &record, &cuts);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Pooled number bank: one product-automaton lookup per number byte for
+// every pooled number unit.
+// ---------------------------------------------------------------------
+
+/// The five gateway queries: sixteen pooled number units, one bank.
+fn gateway_batch() -> Vec<Expr> {
+    vec![
+        query_to_exprs(&Query::qs0(), 1).unwrap(),
+        query_to_exprs(&Query::qs1(), 1).unwrap(),
+        query_to_exprs(&Query::qt(), 1).unwrap(),
+        query_to_exprs(&Query::qt(), 2).unwrap(),
+        Expr::context_scoped(
+            StructScope::Member,
+            [
+                Expr::substring(b"favourites_count", 2).unwrap(),
+                Expr::int_range(100, 50_000),
+            ],
+        ),
+    ]
+}
+
+/// The gateway queries plus sixty int and float range lanes (negative
+/// bounds included): more than 64 pooled number units, so the pool's
+/// number bank splits.
+fn wide_number_batch() -> Vec<Expr> {
+    let mut batch = gateway_batch();
+    batch.extend((0..60i64).map(|i| {
+        if i % 2 == 0 {
+            Expr::int_range(i * 37 - 400, i * i * 11 + 3)
+        } else {
+            let lo = format!("-{}.{}", i * 3, i % 10);
+            let hi = format!("{}.{:02}", i * i, i * 7 % 100);
+            Expr::float_range(&lo, &hi).unwrap()
+        }
+    }));
+    batch
+}
+
+/// Both number batches, fused and with one model per lane, compiled once:
+/// sixty-odd number automata take a while to build in a debug build.
+fn number_batches() -> &'static [(MultiEngine, Vec<CompiledFilter>); 2] {
+    static BATCHES: OnceLock<[(MultiEngine, Vec<CompiledFilter>); 2]> = OnceLock::new();
+    BATCHES.get_or_init(|| {
+        [gateway_batch(), wide_number_batch()].map(|batch| {
+            let models = batch.iter().map(CompiledFilter::compile).collect();
+            (MultiEngine::compile_batch(&batch), models)
+        })
+    })
+}
+
+/// Number tokens with negatives, exponents, leading zeros, stray signs
+/// and dots, and bare `e`/`E` inside words.
+const NUMBER_RECORDS: &[&[u8]] = &[
+    br#"{"e":[{"v":"35.2","u":"far","n":"temperature"},{"v":"-12","n":"dust"}],"bt":1422748800000}"#,
+    br#"{"v":007,"w":-0.5e+3,"x":1E-2,"y":-.5,"z":+3,"q":--1,"r":1..2,"s":2e}"#,
+    br#"{"user":{"favourites_count":4711,"eEe":1e1E1},"fare_amount":11.50,"tolls_amount":5.33}"#,
+    b"[15,99,-50,7,0,00,0.0,-0,43.1,43.10,43.11,100,2500.5,50000,50001]",
+    b"1234567890.0987654321e+-",
+];
+
+#[test]
+fn pooled_number_bank_equals_models_at_every_seam() {
+    let [(gateway, _), (wide, _)] = number_batches();
+    assert!(gateway.block_scan_ready() && wide.block_scan_ready());
+    let one = gateway.number_bank_view().expect("block-ready");
+    assert_eq!(one.banks.len(), 1, "sixteen units fit one bank");
+    let split = wide.number_bank_view().expect("block-ready");
+    assert!(split.banks.len() >= 2, "more than 64 units split the bank");
+    assert!(split.banks.iter().all(|b| b.units <= 64));
+
+    let datasets = [
+        smartcity::generate(95, 3),
+        taxi::generate(96, 2),
+        twitter::generate(97, 1),
+    ];
+    for (fused, models) in number_batches() {
+        let records = datasets.iter().flat_map(|ds| ds.records().iter());
+        for record in records
+            .map(Vec::as_slice)
+            .chain(NUMBER_RECORDS.iter().copied())
+        {
+            let (mut fused, mut models) = (fused.clone(), models.clone());
+            assert_lanes_track_models(&mut fused, &mut models, record, &[9, 3, 8, 1, 16, 5]);
+            assert_lanes_track_models(&mut fused, &mut models, record, &[1, 1, 7]);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random soup of number tokens and structure, cut at random piece
+    /// lengths: every lane of both pools must track its model, including
+    /// blocks that start mid-token.
+    #[test]
+    fn pooled_number_bank_equals_models_on_number_soup(
+        picks in proptest::collection::vec(0usize..22, 1..48),
+        cuts in proptest::collection::vec(1usize..12, 1..6),
+        which in 0usize..2,
+    ) {
+        const TOKENS: [&[u8]; 22] = [
+            b"-", b"+", b".", b"e", b"E", b"0", b"7", b"12", b"007", b"35.2",
+            b"1e5", b"-3.5E-2", b"4711", b"temperature", b"Ee", b",", b"\"",
+            b":", b"{", b"}", b" ", b"[",
+        ];
+        let record: Vec<u8> = picks.iter().flat_map(|&p| TOKENS[p].iter().copied()).collect();
+        let (fused, models) = &number_batches()[which];
+        let (mut fused, mut models) = (fused.clone(), models.clone());
+        assert_lanes_track_models(&mut fused, &mut models, &record, &cuts);
     }
 }
